@@ -10,8 +10,8 @@ protograph LDPC Monte-Carlo harness.
 from .channel import (Condition, DEFAULT_PARAMS, FlashParams, StateModel,
                       sample_voltage, sample_wordline, state_model,
                       state_models)
-from .fbl import (FblMetrics, achievable_rate, channel_metrics, eps_max,
-                  info_variance, mutual_information, q_func, q_inv, t_stat)
+from .fbl import (achievable_rate, eps_max, info_variance, mutual_information,
+                  q_func, q_inv, t_stat)
 from .harness import (ExperimentConfig, PipelineStats, cp_interval, run_ccr,
                       run_fer, run_pipeline)
 from .ldpc import LdpcCode, ParityMatrix, PRESETS, build_code, encode, sp_decode
@@ -19,22 +19,22 @@ from .mlp import (GenConfig, MlpModel, Sample, TrainConfig, forward,
                   gen_training_data, histogram_features, load_model,
                   save_model, train)
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
-from .quantizer import (DmcChannel, GRAY, GrayMap, LlrTable, ThresholdSet,
-                        hard_thresholds, llr_table, page_subchannel, quantize,
+from .quantizer import (DmcChannel, LlrTable, ThresholdSet, hard_thresholds,
+                        llr_table, page_subchannel, quantize,
                         transition_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CisConfig", "Condition", "DEFAULT_PARAMS", "DmcChannel",
-    "ExperimentConfig", "FblMetrics", "FlashParams", "GRAY", "GenConfig",
-    "GrayMap", "LdpcCode", "LlrTable", "MlpModel", "PRESETS", "ParityMatrix",
-    "PipelineStats", "Sample", "StateModel", "ThresholdSet", "TrainConfig",
-    "achievable_rate", "build_code", "channel_metrics", "cis_optimize",
-    "cp_interval", "encode", "eps_max", "forward", "gen_training_data",
-    "hard_thresholds", "histogram_features", "info_variance", "llr_table",
-    "load_model", "mmi_optimize", "mutual_information", "page_subchannel",
-    "q_func", "q_inv", "quantize", "run_ccr", "run_fer", "run_pipeline",
-    "sample_voltage", "sample_wordline", "save_model", "sp_decode",
-    "state_model", "state_models", "t_stat", "train", "transition_matrix",
+    "ExperimentConfig", "FlashParams", "GenConfig", "LdpcCode", "LlrTable",
+    "MlpModel", "PRESETS", "ParityMatrix", "PipelineStats", "Sample",
+    "StateModel", "ThresholdSet", "TrainConfig", "achievable_rate",
+    "build_code", "cis_optimize", "cp_interval", "encode", "eps_max",
+    "forward", "gen_training_data", "hard_thresholds", "histogram_features",
+    "info_variance", "llr_table", "load_model", "mmi_optimize",
+    "mutual_information", "page_subchannel", "q_func", "q_inv", "quantize",
+    "run_ccr", "run_fer", "run_pipeline", "sample_voltage", "sample_wordline",
+    "save_model", "sp_decode", "state_model", "state_models", "t_stat",
+    "train", "transition_matrix",
 ]

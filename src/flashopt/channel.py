@@ -11,20 +11,29 @@ state, the program/erase cycle count, and the retention time:
   * charge leakage during retention shifts programmed states downward and
     adds a proportional spread.
 
-Cell-to-cell coupling from neighbouring wordlines is modelled separately
-and is not folded into the per-state Gaussians; the helpers at the bottom
-expose the aggressor arithmetic for callers that want it.
+Cell-to-cell coupling from neighbouring wordlines is not modelled.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 N_STATES = 4
+
+
+def check_numbers(obj, names, integral: bool = False) -> None:
+    """Raise ValueError unless each named field of ``obj`` is a real number
+    (an integer if ``integral``); booleans are neither."""
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +54,15 @@ class FlashParams:
     beta1: float = 8e-5
     alpha0: float = 0.68      # ... and exponents
     alpha1: float = 0.52
-    k_x: float = 0.1          # coupling ratios: bitline neighbour,
-    k_y: float = 0.08         # wordline neighbour,
-    k_xy: float = 0.006       # diagonal neighbour
     drn_log: str = "natural"  # retention time scaling: "natural" or "log10"
 
     def __post_init__(self):
+        check_numbers(self, ("v_p", "sigma_e", "sigma_pn", "rtn_coeff", "rtn_exp",
+                             "beta0", "beta1", "alpha0", "alpha1"))
+        if not isinstance(self.v_target, (tuple, list)) or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.v_target):
+            raise ValueError(f"v_target must be a list of numbers, got {self.v_target!r}")
+        object.__setattr__(self, "v_target", tuple(self.v_target))
         if len(self.v_target) != N_STATES:
             raise ValueError(f"expected {N_STATES} verify targets, got {len(self.v_target)}")
         diffs = np.diff(np.asarray(self.v_target, dtype=float))
@@ -74,8 +86,6 @@ class FlashParams:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"{path}: unknown parameter(s) {sorted(unknown)}")
-        if "v_target" in raw:
-            raw["v_target"] = tuple(raw["v_target"])
         return cls(**raw)
 
     def to_file(self, path) -> None:
@@ -94,6 +104,10 @@ class Condition:
     t_ret: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self, ("n_pe", "t_ret"))
+        if not (math.isfinite(self.n_pe) and math.isfinite(self.t_ret)):
+            raise ValueError(f"n_pe and t_ret must be finite, got {self.n_pe!r} "
+                             f"and {self.t_ret!r}")
         if self.n_pe < 0:
             raise ValueError("cycle count n_pe must be nonnegative")
         if self.t_ret < 0:
@@ -197,28 +211,3 @@ def sample_wordline(states, cond: Condition, params: FlashParams = DEFAULT_PARAM
     sigmas = np.array([m.sigma for m in models])
     rng = _as_rng(rng)
     return mus[states] + sigmas[states] * rng.standard_normal(states.shape)
-
-
-# -- cell-to-cell interference helpers --------------------------------------
-
-def cci_shift(delta_v, zeta) -> float:
-    """Aggregate coupling shift: sum of aggressor swings times ratios."""
-    delta_v = np.asarray(delta_v, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if delta_v.shape != zeta.shape:
-        raise ValueError("delta_v and zeta must have matching shapes")
-    return float(np.sum(delta_v * zeta))
-
-
-def cci_erased_means(params: FlashParams = DEFAULT_PARAMS):
-    """Mean erased-state voltage of even and odd pages under full coupling.
-
-    Even pages see both bitline neighbours plus the diagonal pairs; odd
-    pages only the wordline and diagonal aggressors.  The aggressor swing
-    is taken as the average over a uniform victim's neighbours.
-    """
-    v0, v3 = params.v_target[0], params.v_target[-1]
-    v_mean = (v0 + v3) / 2 - v0
-    mu_even = v0 + v_mean * (2 * params.k_x + params.k_y + 2 * params.k_xy)
-    mu_odd = v0 + v_mean * (params.k_y + params.k_xy)
-    return mu_even, mu_odd

@@ -49,8 +49,7 @@ def _pop_params(merged: dict) -> FlashParams:
         return FlashParams()
     if not isinstance(raw, dict):
         raise ValueError("'params' must be a JSON object")
-    if "v_target" in raw:
-        raw = dict(raw, v_target=tuple(raw["v_target"]))
+    _check_keys(raw, FlashParams.__dataclass_fields__, "params")
     return FlashParams(**raw)
 
 

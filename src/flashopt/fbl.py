@@ -9,12 +9,17 @@ information variance U, and the statistic
 
 All rates and information quantities here are in bits (base-2 logs),
 matching code rates expressed in information bits per channel bit.
+
+The arithmetic works on whole batches of channels: the threshold search
+evaluates thousands of candidate channels at once, and the single-channel
+functions are batches of one.  A batch of channels is an array of input
+masses in regions, (C, X, ..., R): C channels, X inputs, any batch axes,
+R regions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, erfcinv
@@ -37,49 +42,70 @@ def q_inv(p):
     return out if out.ndim else float(out)
 
 
-def _density_terms(ch):
-    """Joint mass and base-2 information density per (input, region) cell."""
-    p_out = ch.prior @ ch.w
-    joint = ch.prior[:, None] * ch.w
-    mask = joint > 0.0
-    dens = np.zeros_like(joint)
-    dens[mask] = np.log2(ch.w[mask] / np.broadcast_to(p_out, ch.w.shape)[mask])
-    return joint, dens
+def region_terms(w, prior):
+    """Per-region contributions to I and to E[i^2] of each channel.
+
+    ``w`` holds the inputs' masses in regions, (C, X, ...), and ``prior``
+    the input probabilities.  Returns a (2, C, ...) array, I terms then
+    E[i^2] terms; summed over regions they give I and E[i^2] in bits.
+    Zero-mass cells contribute nothing.
+    """
+    joint = prior.reshape((-1,) + (1,) * (w.ndim - 2)) * w
+    p_out = joint.sum(axis=1, keepdims=True)
+    dens = np.log2(np.divide(w, p_out, out=np.ones_like(w), where=w > 0.0))
+    terms = np.empty((2,) + w.shape)
+    np.multiply(joint, dens, out=terms[0])
+    np.multiply(terms[0], dens, out=terms[1])
+    return terms.sum(axis=2)
+
+
+def iu_from_sums(sums):
+    """I and U from region terms summed over regions, (2, ...)."""
+    i = sums[0]
+    return i, np.maximum(sums[1] - i * i, 0.0)
+
+
+def info_iu(w, prior):
+    """I and U of each channel from its full region masses (C, X, ..., R)."""
+    return iu_from_sums(region_terms(w, prior).sum(axis=-1))
 
 
 def mutual_information(ch) -> float:
-    """I(P, W) in bits; zero-probability cells contribute nothing."""
-    joint, dens = _density_terms(ch)
-    return float(np.sum(joint * dens))
+    """I(P, W) in bits of a DmcChannel."""
+    return float(info_iu(ch.w[None], ch.prior)[0][0])
 
 
 def info_variance(ch) -> float:
     """Unconditional information variance U(P, W) in bits squared."""
-    joint, dens = _density_terms(ch)
-    i = np.sum(joint * dens)
-    return float(np.sum(joint * dens * dens) - i * i)
+    return float(info_iu(ch.w[None], ch.prior)[1][0])
 
 
-def t_stat(n: int, rate: float, i: float, u: float) -> float:
+def t_stat(n: int, rate: float, i, u):
     """Normal-approximation statistic T for a length-n rate-``rate`` code.
 
-    A zero variance makes the statistic infinite with the sign of the
-    bracket (exactly zero bracket gives 0); tiny negative u from float
-    cancellation is treated as zero.
+    ``i`` and ``u`` may be arrays; scalars give a float.  A zero variance
+    makes the statistic infinite with the sign of the bracket (exactly
+    zero bracket gives 0); tiny negative u from float cancellation is
+    treated as zero.
     """
     if n < 1:
         raise ValueError("block length must be at least 1")
-    if u < -1e-12:
+    i = np.asarray(i, dtype=float)
+    u = np.asarray(u, dtype=float)
+    low = u.min()
+    if low < -1e-12:
         raise ValueError("information variance must be nonnegative")
     bracket = i - rate + math.log2(n) / (2.0 * n)
-    if u <= 0.0:
-        if bracket == 0.0:
-            return 0.0
-        return math.copysign(math.inf, bracket)
-    return bracket * math.sqrt(n / u)
+    if low > 0.0:
+        t = bracket * np.sqrt(n / u)
+    else:
+        degenerate = u <= 0.0
+        t = np.where(bracket == 0.0, 0.0, np.copysign(np.inf, bracket))
+        t[~degenerate] = bracket[~degenerate] * np.sqrt(n / u[~degenerate])
+    return t if t.ndim else float(t)
 
 
-def eps_max(t_msb: float, t_lsb: float) -> float:
+def eps_max(t_msb, t_lsb):
     """Worst-page-averaged decoding error probability from two T statistics."""
     return 0.5 * (q_func(t_msb) + q_func(t_lsb))
 
@@ -94,21 +120,3 @@ def achievable_rate(n: int, eps: float, i: float, u: float) -> float:
         raise ValueError("information variance must be nonnegative")
     u = max(u, 0.0)
     return i - math.sqrt(u / n) * q_inv(eps) + math.log2(n) / (2.0 * n)
-
-
-@dataclass(frozen=True)
-class FblMetrics:
-    """Summary of one channel at one code operating point."""
-
-    i_bits: float
-    u_bits2: float
-    t_stat: float
-    eps_max: float
-
-
-def channel_metrics(ch, n: int, rate: float) -> FblMetrics:
-    """Metrics of a single (page) channel; eps here is the one-page Q(T)."""
-    i = mutual_information(ch)
-    u = info_variance(ch)
-    t = t_stat(n, rate, i, u)
-    return FblMetrics(i_bits=i, u_bits2=u, t_stat=t, eps_max=float(q_func(t)))

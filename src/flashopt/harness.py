@@ -20,14 +20,14 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainccinv, betaincinv
 
 from .channel import Condition, FlashParams, sample_wordline, state_models
 from .fbl import achievable_rate, mutual_information, info_variance
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
-from .quantizer import (GRAY, LlrTable, ThresholdSet, hard_thresholds,
+from .quantizer import (LlrTable, ThresholdSet, gray_state, hard_thresholds,
                         llr_table, page_subchannel, quantize,
                         transition_matrix)
 
@@ -100,8 +100,8 @@ def cp_interval(errors: int, trials: int, conf: float = 0.95):
     if not 0 <= errors <= trials or trials < 1:
         raise ValueError("need 0 <= errors <= trials with trials >= 1")
     alpha = 1.0 - conf
-    lo = 0.0 if errors == 0 else float(stats.beta.ppf(alpha / 2, errors, trials - errors + 1))
-    hi = 1.0 if errors == trials else float(stats.beta.isf(alpha / 2, errors + 1, trials - errors))
+    lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
+    hi = 1.0 if errors == trials else float(betainccinv(errors + 1, trials - errors, alpha / 2))
     return lo, hi
 
 
@@ -129,6 +129,14 @@ def predict_thresholds(model: MlpModel, features) -> ThresholdSet:
     return ThresholdSet(tuple(_repair_increasing(forward(model, features))))
 
 
+def _zero_retention(cfg: ExperimentConfig, n_pe: float, n: int,
+                    rate: float) -> ThresholdSet:
+    """CIS thresholds at zero retention: the stale "cis-t0" thresholds of a
+    wear level, and the reference quantizer its histograms are taken with."""
+    return cis_optimize(Condition(n_pe, 0.0), cfg.params, n, rate, cfg.cis,
+                        seed=cfg.seed)[0]
+
+
 def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: float,
                        model: MlpModel | None = None,
                        features=None) -> ThresholdSet:
@@ -147,8 +155,7 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
     if cfg.source == "cis":
         return cis_optimize(cond, cfg.params, n, rate, cfg.cis, seed=cfg.seed)[0]
     if cfg.source == "cis-t0":
-        ref = Condition(cond.n_pe, 0.0)
-        return cis_optimize(ref, cfg.params, n, rate, cfg.cis, seed=cfg.seed)[0]
+        return _zero_retention(cfg, cond.n_pe, n, rate)
     if cfg.source == "file":
         if cfg.thresholds_file is None:
             raise ValueError("source 'file' needs thresholds_file")
@@ -183,7 +190,7 @@ def _simulate_block(code: LdpcCode, cond: Condition, params: FlashParams, rng):
     info_l = rng.integers(0, 2, size=code.info_len, dtype=np.uint8)
     code_m = encode(code, info_m)
     code_l = encode(code, info_l)
-    states = GRAY.state_of(code_m, code_l)
+    states = gray_state(code_m, code_l)
     volts = sample_wordline(states, cond, params, rng)
     return code_m, code_l, volts
 
@@ -215,21 +222,20 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     spec = code.spec
     rows = []
     point = 0
-    ref_cache: dict = {}
     for n_pe in cfg.pe_list:
+        ref = None
+        if cfg.source in ("dnn", "cis-t0"):
+            ref = _zero_retention(cfg, n_pe, spec.n, spec.rate)
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
             features = None
             if cfg.source == "dnn":
-                if n_pe not in ref_cache:
-                    ref_cache[n_pe] = cis_optimize(Condition(n_pe, 0.0), cfg.params,
-                                                   spec.n, spec.rate, cfg.cis,
-                                                   seed=cfg.seed)[0]
                 pilot = _pilot_rng(cfg, point)
                 states = pilot.integers(0, 4, size=spec.n)
                 volts = sample_wordline(states, cond, cfg.params, pilot)
-                features = histogram_features(volts, ref_cache[n_pe])
-            d = resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features)
+                features = histogram_features(volts, ref)
+            d = (ref if cfg.source == "cis-t0" else
+                 resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features))
             table = llr_table(state_models(cond, cfg.params), d)
             errors = 0
             frames_run = 0
@@ -319,8 +325,7 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
     results = []
     point = 0
     for n_pe in cfg.pe_list:
-        ref = cis_optimize(Condition(n_pe, 0.0), cfg.params, spec.n, spec.rate,
-                           cfg.cis, seed=cfg.seed)[0]
+        ref = _zero_retention(cfg, n_pe, spec.n, spec.rate)
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
             cond_models = models_cache.setdefault(cond, state_models(cond, cfg.params))
@@ -330,7 +335,8 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
                 states = pilot.integers(0, 4, size=spec.n)
                 volts = sample_wordline(states, cond, cfg.params, pilot)
                 features = histogram_features(volts, ref)
-            current = resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features)
+            current = (ref if cfg.source == "cis-t0" else
+                       resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features))
             table = llr_table(cond_models, current)
             first_fail = 0
             invocations = 0

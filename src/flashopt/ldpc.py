@@ -6,24 +6,20 @@ are reproducible without shipping matrices.  Encoding uses a one-time
 Gaussian elimination over GF(2) that records which columns ended up as
 parity positions; the remaining (free) columns carry the info bits.
 
-The decoder is a flooding sum-product with the tanh-product check rule.
-The check-node inner loop exists twice: a numba njit kernel using exact
-prefix/suffix products, and a vectorized numpy fallback using log
-magnitudes and sign parities.  `FLASHOPT_NO_NUMBA=1` selects the numpy
-path globally; `backend=` overrides per call (see benchmarks/).
+The decoder is a flooding sum-product with the tanh-product check rule,
+vectorized over all edges at once: each edge's product of the other
+tanh values in its check comes from per-check sums of log magnitudes
+and counts of negative and zero factors.
 
 LLR sign convention matches the quantizer tables: positive favors bit 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import functools
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-
-from ._accel import DEFAULT_BACKEND, njit
 
 MAX_BUILD_TRIES = 20
 RATE_TOL = 0.005
@@ -38,8 +34,6 @@ class ParityMatrix:
     n_cols: int
     edge_check: np.ndarray  # check index per edge, sorted by (check, var)
     edge_var: np.ndarray    # variable index per edge, same order
-    check_ptr: np.ndarray = field(init=False)
-    max_degree: int = field(init=False)
 
     def __post_init__(self):
         ec = np.asarray(self.edge_check, dtype=np.int64)
@@ -57,13 +51,8 @@ class ParityMatrix:
             raise ValueError("duplicate edges in parity matrix")
         if np.unique(ev).size != self.n_cols:
             raise ValueError("every column must have weight at least 1")
-        counts = np.bincount(ec, minlength=self.n_rows)
-        ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
         object.__setattr__(self, "edge_check", ec)
         object.__setattr__(self, "edge_var", ev)
-        object.__setattr__(self, "check_ptr", ptr)
-        object.__setattr__(self, "max_degree", int(counts.max()))
 
     @classmethod
     def from_dense(cls, h) -> "ParityMatrix":
@@ -77,7 +66,7 @@ class ParityMatrix:
         return h
 
     def check_neighbors(self, ci: int) -> np.ndarray:
-        return self.edge_var[self.check_ptr[ci]:self.check_ptr[ci + 1]]
+        return self.edge_var[self.edge_check == ci]
 
     def var_neighbors(self, vi: int) -> np.ndarray:
         return self.edge_check[self.edge_var == vi]
@@ -87,32 +76,6 @@ class ParityMatrix:
 
     def row_weights(self) -> np.ndarray:
         return np.bincount(self.edge_check, minlength=self.n_rows)
-
-
-def export_matrix(pm: ParityMatrix, path) -> None:
-    """Sparse text format: header "M N", then per row its column indices."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{pm.n_rows} {pm.n_cols}\n")
-        for ci in range(pm.n_rows):
-            cols = " ".join(str(int(v)) for v in np.sort(pm.check_neighbors(ci)))
-            fh.write(cols + "\n")
-
-
-def parse_matrix(path) -> ParityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().split()
-        if len(first) != 2:
-            raise ValueError(f"{path}: expected 'M N' header")
-        m, n = int(first[0]), int(first[1])
-        checks, vars_ = [], []
-        for ci in range(m):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated after {ci} rows")
-            for tok in line.split():
-                checks.append(ci)
-                vars_.append(int(tok))
-    return ParityMatrix(m, n, np.array(checks), np.array(vars_))
 
 
 @dataclass(frozen=True)
@@ -322,7 +285,7 @@ class LdpcCode:
     def measured_rate(self) -> float:
         return self.info_len / self.n
 
-    @functools.cached_property
+    @cached_property
     def _parity_map_f(self) -> np.ndarray:
         # float copy so encoding rides BLAS; row sums stay exactly
         # representable (they never exceed the code length).
@@ -394,27 +357,9 @@ def syndrome(pm, bits) -> np.ndarray:
 
 # -- sum-product decoding ----------------------------------------------------
 
-@njit(cache=True)
-def _check_products_kernel(t, check_ptr, max_deg):
-    """Per-edge product of the other tanh values in the same check."""
-    out = np.empty_like(t)
-    fwd = np.empty(max_deg)
-    for ci in range(check_ptr.shape[0] - 1):
-        s = check_ptr[ci]
-        e = check_ptr[ci + 1]
-        acc = 1.0
-        for k in range(e - s):
-            fwd[k] = acc
-            acc *= t[s + k]
-        back = 1.0
-        for k in range(e - s - 1, -1, -1):
-            out[s + k] = fwd[k] * back
-            back *= t[s + k]
-    return out
-
-
-def _check_products_numpy(t, edge_check, n_rows):
-    """Same exclusion products via log magnitudes and sign parity."""
+def _check_products(t, edge_check, n_rows):
+    """Per-edge product of the other tanh values in the same check, via log
+    magnitudes and sign parity."""
     mag = np.abs(t)
     zero = mag == 0.0
     logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
@@ -430,21 +375,14 @@ def _check_products_numpy(t, edge_check, n_rows):
     return sign * mag_out
 
 
-def check_messages(v2c, pm: ParityMatrix, backend: str | None = None) -> np.ndarray:
+def check_messages(v2c, pm: ParityMatrix) -> np.ndarray:
     """Check-node update: per-edge extrinsic message from the tanh rule."""
-    backend = backend or DEFAULT_BACKEND
     t = np.tanh(0.5 * np.asarray(v2c, dtype=float))
-    if backend == "numba":
-        prod = _check_products_kernel(t, pm.check_ptr, pm.max_degree)
-    elif backend == "numpy":
-        prod = _check_products_numpy(t, pm.edge_check, pm.n_rows)
-    else:
-        raise ValueError(f"unknown backend: {backend!r}")
+    prod = _check_products(t, pm.edge_check, pm.n_rows)
     return 2.0 * np.arctanh(np.clip(prod, -_ATANH_LIM, _ATANH_LIM))
 
 
-def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0,
-              backend: str | None = None):
+def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
     """Flooding sum-product decode; returns (bits, converged, iterations).
 
     Convergence requires a zero syndrome with every posterior strictly
@@ -460,7 +398,7 @@ def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0,
     v2c = intr[pm.edge_var]
     hard = np.zeros(pm.n_cols, dtype=np.uint8)
     for it in range(1, max(int(i_max), 1) + 1):
-        c2v = np.clip(check_messages(v2c, pm, backend), -clamp, clamp)
+        c2v = np.clip(check_messages(v2c, pm), -clamp, clamp)
         total = intr + np.bincount(pm.edge_var, weights=c2v, minlength=pm.n_cols)
         v2c = np.clip(total[pm.edge_var] - c2v, -clamp, clamp)
         hard = (total < 0.0).astype(np.uint8)

@@ -144,11 +144,6 @@ def xavier_model(dims, seed: int = 0, scale: float = THRESHOLD_SCALE) -> MlpMode
     return MlpModel(dims=tuple(dims), weights=weights, biases=biases, scale=scale)
 
 
-def default_model(j_levels: int = 6, seed: int = 0) -> MlpModel:
-    dims = (j_levels + 1, *DEFAULT_HIDDEN, j_levels)
-    return xavier_model(dims, seed=seed)
-
-
 def _forward_pass(model: MlpModel, x: np.ndarray):
     """All layer activations for a batch; x has shape (B, n_inputs)."""
     acts = [(x - model.x_shift) / model.x_scale]
@@ -222,12 +217,8 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
     model.y_shift = np.where(span > 0.0, y_lo - 0.1 * model.y_scale, y_lo - 0.5)
     target = (y - model.y_shift) / model.y_scale
     rng = np.random.default_rng((seed, 1))
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    state = {}
     total = cfg.epochs * ((len(dataset) + cfg.batch - 1) // cfg.batch)
-    step = 0
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(dataset))
@@ -237,27 +228,20 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
             loss, gw, gb = _backprop(model, x[sel], target[sel], 1.0)
             epoch_losses.append(loss)
             if cfg.lr_final > 0.0:
-                frac = 0.5 * (1.0 + np.cos(np.pi * step / total))
+                frac = 0.5 * (1.0 + np.cos(np.pi * state.get("step", 0) / total))
                 lr = cfg.lr_final + (cfg.lr - cfg.lr_final) * frac
             else:
                 lr = cfg.lr
-            step += 1
-            c1 = 1.0 - cfg.beta1**step
-            c2 = 1.0 - cfg.beta2**step
-            for i in range(len(model.weights)):
-                for m, v, g, p in ((m_w[i], v_w[i], gw[i], model.weights[i]),
-                                   (m_b[i], v_b[i], gb[i], model.biases[i])):
-                    m *= cfg.beta1
-                    m += (1.0 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1.0 - cfg.beta2) * g * g
-                    p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+            adam_step_inplace(model, gw, gb, state, cfg, lr)
         losses.append(float(np.mean(epoch_losses)))
     return model, losses
 
 
-def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig):
-    """Single exposed Adam update (used by tests); state dict is mutated."""
+def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig,
+                      lr: float):
+    """One Adam update of the model's parameters at learning rate ``lr``;
+    the moment estimates and step count live in the ``state`` dict, which
+    starts empty and is mutated."""
     if not state:
         state.update(step=0,
                      m_w=[np.zeros_like(w) for w in model.weights],
@@ -275,7 +259,7 @@ def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
 
 
 # -- features and data generation --------------------------------------------
@@ -369,22 +353,30 @@ def save_model(model: MlpModel, path) -> None:
 
 def load_model(path) -> MlpModel:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MODEL_MAGIC))
-        if magic != _MODEL_MAGIC:
+
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated model file")
+            return data
+
+        def floats(size: int) -> np.ndarray:
+            return np.frombuffer(read(8 * size), dtype="<f8").copy()
+
+        if fh.read(len(_MODEL_MAGIC)) != _MODEL_MAGIC:
             raise ValueError(f"{path}: not a model file")
-        version, n_dims, scale = struct.unpack("<IId", fh.read(16))
+        version, n_dims, scale = struct.unpack("<IId", read(16))
         if version != _MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
+        if n_dims < 2:
+            raise ValueError(f"{path}: a model needs at least two layers")
+        dims = struct.unpack(f"<{n_dims}I", read(4 * n_dims))
         x_shift, x_scale, y_shift, y_scale = (
-            np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
-            for size in (dims[0], dims[0], dims[-1], dims[-1]))
+            floats(size) for size in (dims[0], dims[0], dims[-1], dims[-1]))
         weights, biases = [], []
         for nin, nout in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(fh.read(8 * nin * nout), dtype="<f8").reshape(nin, nout)
-            b = np.frombuffer(fh.read(8 * nout), dtype="<f8")
-            weights.append(w.copy())
-            biases.append(b.copy())
+            weights.append(floats(nin * nout).reshape(nin, nout))
+            biases.append(floats(nout))
     return MlpModel(dims=dims, weights=weights, biases=biases, scale=scale,
                     x_shift=x_shift, x_scale=x_scale, y_shift=y_shift,
                     y_scale=y_scale)

@@ -34,14 +34,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr
+from scipy.special import log_ndtr
 
-from .channel import Condition, FlashParams, state_models
-from .fbl import info_variance, mutual_information, t_stat, eps_max
-from .quantizer import (GRAY, ThresholdSet, hard_thresholds, page_subchannel,
-                        transition_matrix)
+from .channel import Condition, FlashParams, check_numbers, state_models
+from .fbl import (eps_max, info_iu, info_variance, iu_from_sums,
+                  mutual_information, q_func, region_terms, t_stat)
+from .quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
+                        input_tails, page_subchannel, region_masses,
+                        single_states, transition_matrix)
 
-_SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
 
 
@@ -57,6 +58,10 @@ class CisConfig:
     uniform_init: bool = False  # evenly spaced init instead of the skewed recipe
 
     def __post_init__(self):
+        check_numbers(self, ("j_levels", "i_max", "restarts"), integral=True)
+        check_numbers(self, ("lam", "grid_step"))
+        if not isinstance(self.uniform_init, bool):
+            raise ValueError(f"uniform_init must be true or false, got {self.uniform_init!r}")
         if self.j_levels < 1:
             raise ValueError("j_levels must be at least 1")
         if self.lam <= 0 or self.grid_step <= 0:
@@ -73,98 +78,29 @@ class CisConfig:
 #
 # Each objective reads the voltage axis through one or more channels whose
 # inputs are groups of states (an MLC page averages two states per bit).
-# An input's tail mass above a voltage is the mean of its states' tails, its
-# region masses are differences of tails at consecutive thresholds, and the
-# information sums split into one term per region.  The batch functions
-# evaluate whole threshold rows; the search re-evaluates only the two
-# regions a moved threshold bounds.  Arrays keep channels and inputs on the
-# first two axes and the batch on the trailing axes, so every small
-# reduction runs over whole contiguous blocks.  The single-vector public
-# `objective` below composes the channel/fbl modules directly; tests pin the
-# two routes together.
+# quantizer.input_tails gives an input's tail mass above a voltage as the
+# mean of its states' tails and quantizer.region_masses its region masses;
+# fbl.region_terms splits the information sums into one term per region.
+# The batch functions evaluate whole threshold rows; the search
+# re-evaluates only the two regions a moved threshold bounds.  Arrays keep
+# channels and inputs on the first two axes and the batch on the trailing
+# axes, so every small reduction runs over whole contiguous blocks.  The
+# single-vector public `objective` below composes the channel/fbl modules
+# through the transition matrix instead; tests pin the two routes together.
 
-# Input groups: for each channel, the states averaged into each input.
-_PAGES = np.array([[GRAY.states_with_bit(page, bit) for bit in (0, 1)]
-                   for page in ("msb", "lsb")])
 _HALF = np.array([0.5, 0.5])
 
 
-def _singletons(n_states: int) -> np.ndarray:
-    """One channel whose inputs are the states themselves."""
-    return np.arange(n_states).reshape(1, n_states, 1)
-
-
-def _input_tails(v, models, groups):
-    """Tail mass of every channel input above voltage(s) v; (C, X, *v.shape)."""
-    v = np.asarray(v, dtype=float)
-    shape = (-1,) + (1,) * v.ndim
-    mus = np.array([m.mu for m in models]).reshape(shape)
-    sigmas = np.array([m.sigma for m in models]).reshape(shape)
-    return (0.5 * erfc(((v - mus) / sigmas) / _SQRT2))[groups].mean(axis=2)
-
-
-def _masses(tails):
-    """Region masses from tails at J ordered thresholds: (..., J) -> (..., J+1)."""
-    shape = tails.shape[:-1] + (1,)
-    edges = np.concatenate((np.ones(shape), tails, np.zeros(shape)), axis=-1)
-    return np.maximum(edges[..., :-1] - edges[..., 1:], 0.0)
-
-
-def _region_terms(w, prior):
-    """Per-region contributions to I and to E[i^2] of each channel.
-
-    ``w`` holds the inputs' masses in regions, (C, X, ...).  Returns a
-    (2, C, ...) array, I terms then E[i^2] terms; summed over regions
-    they give I and E[i^2] in bits.
-    """
-    joint = prior.reshape((-1,) + (1,) * (w.ndim - 2)) * w
-    p_out = joint.sum(axis=1, keepdims=True)
-    dens = np.log2(np.divide(w, p_out, out=np.ones_like(w), where=w > 0.0))
-    terms = np.empty((2,) + w.shape)
-    np.multiply(joint, dens, out=terms[0])
-    np.multiply(terms[0], dens, out=terms[1])
-    return terms.sum(axis=2)
-
-
-def _iu(sums):
-    """I and U from summed region terms (2, ...)."""
-    i = sums[0]
-    return i, np.maximum(sums[1] - i * i, 0.0)
-
-
-def _info(w, prior):
-    """I and U of each channel from full region masses (C, X, ..., R)."""
-    return _iu(_region_terms(w, prior).sum(axis=-1))
-
-
-def _t_batch(i: np.ndarray, u: np.ndarray, n: int, rate: float) -> np.ndarray:
-    bracket = i - rate + math.log2(n) / (2.0 * n)
-    if u.min() > 0.0:
-        return bracket * np.sqrt(n / u)
-    degenerate = u <= 0.0
-    t = np.empty_like(bracket)
-    t[~degenerate] = bracket[~degenerate] * np.sqrt(n / u[~degenerate])
-    t[degenerate] = np.where(bracket[degenerate] == 0.0, 0.0,
-                             np.sign(bracket[degenerate]) * np.inf)
-    return t
-
-
-def _eps(t: np.ndarray) -> np.ndarray:
-    """Mean of Q(t) over the two pages on axis 0."""
-    q = 0.25 * erfc(t / _SQRT2)
-    return q[0] + q[1]
-
-
 def _eps_order(t: np.ndarray) -> np.ndarray:
-    """Values that order the entries of t as _eps(t) does, never tied by
-    underflow to 0 or rounding to 1.
+    """Values that order the entries of t as eps_max(t[0], t[1]) does,
+    never tied by underflow to 0 or rounding to 1.
 
     If every eps lies in [1e-300, 0.5], that is eps itself.  Otherwise it
     is logit(eps): from eps itself within that range; below, where 1 - eps
     is 1, from log_ndtr(-t); above, with log(1 - eps) from log_ndtr(t).
     Only values from one call are comparable.
     """
-    eps = _eps(t)
+    eps = eps_max(t[0], t[1])
     if eps.min() >= 1e-300 and eps.max() <= 0.5:
         return eps
     out = np.log(np.maximum(eps, 1e-300)) - np.log1p(-np.minimum(eps, 0.5))
@@ -181,26 +117,26 @@ def _eps_order(t: np.ndarray) -> np.ndarray:
 
 def _page_t(d_batch, models, n: int, rate: float) -> np.ndarray:
     """Both pages' T statistics for each threshold row; shape (2, C)."""
-    w = _masses(_input_tails(np.atleast_2d(d_batch), models, _PAGES))
-    return _t_batch(*_info(w, _HALF), n, rate)
+    w = region_masses(input_tails(np.atleast_2d(d_batch), models, PAGE_STATES))
+    return t_stat(n, rate, *info_iu(w, _HALF))
 
 
 def eps_max_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarray:
     """Two-page eps_max for each row of threshold candidates."""
-    return _eps(_page_t(d_batch, models, n, rate))
+    return eps_max(*_page_t(d_batch, models, n, rate))
 
 
 def binary_eps_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarray:
     """Single-page Q(T) objective for a two-state synthetic channel."""
-    w = _masses(_input_tails(np.atleast_2d(d_batch), models, _singletons(2)))
-    t = _t_batch(*_info(w, _HALF), n, rate)
-    return 0.5 * erfc(t[0] / _SQRT2)
+    w = region_masses(input_tails(np.atleast_2d(d_batch), models, single_states(2)))
+    return q_func(t_stat(n, rate, *info_iu(w, _HALF))[0])
 
 
 def neg_mi_batch(d_batch: np.ndarray, models) -> np.ndarray:
     """Negated full-alphabet mutual information per candidate row."""
-    w = _masses(_input_tails(np.atleast_2d(d_batch), models, _singletons(len(models))))
-    i, _ = _info(w, np.full(len(models), 1.0 / len(models)))
+    w = region_masses(input_tails(np.atleast_2d(d_batch), models,
+                                  single_states(len(models))))
+    i, _ = info_iu(w, np.full(len(models), 1.0 / len(models)))
     return -i[0]
 
 
@@ -211,7 +147,7 @@ def objective(d: ThresholdSet, cond: Condition, params: FlashParams,
     ch = transition_matrix(models, d)
     ts = []
     for page in ("msb", "lsb"):
-        sub = page_subchannel(ch, GRAY, page)
+        sub = page_subchannel(ch, page)
         ts.append(t_stat(n, rate, mutual_information(sub), info_variance(sub)))
     return eps_max(ts[0], ts[1])
 
@@ -257,14 +193,16 @@ class _Lattice:
 
     def full(self, k: np.ndarray) -> np.ndarray:
         """Objective of each row of lattice indices."""
-        return self.score(*_info(_masses(np.take(self._table, k, axis=-1)), self.prior))
+        return self.score(*info_iu(region_masses(np.take(self._table, k, axis=-1)),
+                                   self.prior))
 
     def reset(self, k: np.ndarray, size: int) -> None:
         """Start from the thresholds k (one row per start); no threshold
         will reach lattice index ``size``."""
-        self._table = _input_tails(np.arange(size) * self.step, self.models,
-                                   self.groups)
-        self._terms = _region_terms(_masses(np.take(self._table, k, axis=-1)), self.prior)
+        self._table = input_tails(np.arange(size) * self.step, self.models,
+                                  self.groups)
+        self._terms = region_terms(region_masses(np.take(self._table, k, axis=-1)),
+                                   self.prior)
 
     def __call__(self, k: np.ndarray, j: int, sid: np.ndarray,
                  cand: np.ndarray) -> np.ndarray:
@@ -285,8 +223,8 @@ class _Lattice:
         w = np.empty(tc.shape[:2] + (2,) + tc.shape[2:])
         np.subtract(above, tc, out=w[:, :, 0])
         np.subtract(tc, below, out=w[:, :, 1])
-        self._new = _region_terms(np.maximum(w, 0.0, out=w), self.prior)
-        return self.score(*_iu(rest + (self._new[:, :, 0] + self._new[:, :, 1])))
+        self._new = region_terms(np.maximum(w, 0.0, out=w), self.prior)
+        return self.score(*iu_from_sums(rest + (self._new[:, :, 0] + self._new[:, :, 1])))
 
     def accept(self, sid: np.ndarray, j: int, choice: np.ndarray) -> None:
         """Starts sid moved threshold j to the candidates at positions choice
@@ -446,9 +384,9 @@ def cis_optimize(cond: Condition, params: FlashParams, n: int, rate: float,
     models = state_models(cond, params)
 
     def score(i, u):
-        return _eps_order(_t_batch(i, u, n, rate))
+        return _eps_order(t_stat(n, rate, i, u))
 
-    obj = _Lattice(models, cfg.grid_step, _PAGES, _HALF, score)
+    obj = _Lattice(models, cfg.grid_step, PAGE_STATES, _HALF, score)
     path = _best_path(obj, _starts(models, cfg, seed), cfg) * cfg.grid_step
     return ThresholdSet(tuple(path[-1])), eps_max_batch(path, models, n, rate).tolist()
 
@@ -458,7 +396,7 @@ def mmi_optimize(cond: Condition, params: FlashParams,
     """Same search maximizing full-alphabet mutual information."""
     models = state_models(cond, params)
     prior = np.full(len(models), 1.0 / len(models))
-    obj = _Lattice(models, cfg.grid_step, _singletons(len(models)), prior,
+    obj = _Lattice(models, cfg.grid_step, single_states(len(models)), prior,
                    lambda i, u: -i[0])
     path = _best_path(obj, _starts(models, cfg, seed), cfg)
     return ThresholdSet(tuple(path[-1] * cfg.grid_step))

@@ -7,25 +7,24 @@ charge states) and J+1 outputs.  This module builds that channel, its
 per-page binary marginals under the Gray mapping, the per-region LLR
 tables used by the soft decoder, and the classic hard-decision thresholds
 at the pairwise density crossings.
+
+Region masses come from one batch routine (Gaussian tails of groups of
+states at many threshold rows at once) that the threshold search runs
+directly; a transition matrix is that routine applied to one row with
+each state its own group.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import N_STATES, StateModel
+from .fbl import q_func
 
 L_MAX = 30.0  # LLR clamp, natural-log units
-_SQRT2 = math.sqrt(2.0)
-
-
-def _q(x):
-    """Gaussian upper-tail probability (vectorized)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -76,37 +75,18 @@ def _write_floats(path, values) -> None:
             fh.write(f"{v:.17g}\n")
 
 
-_GRAY_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))  # state -> (msb, lsb)
+# Gray mapping of the four states to (msb, lsb): 11, 10, 00, 01, so that
+# adjacent states differ in one bit.  PAGE_STATES[page, bit] lists the
+# states whose bit on page 0 (MSB) or 1 (LSB) is ``bit``.
+PAGE_STATES = np.array([[[2, 3], [0, 1]],
+                        [[1, 2], [0, 3]]])
+_STATE_OF = np.array([2, 3, 1, 0])  # state holding (msb, lsb), at 2 * msb + lsb
 
 
-@dataclass(frozen=True)
-class GrayMap:
-    """Fixed Gray assignment of (msb, lsb) pairs to the four states."""
-
-    bits: tuple = _GRAY_BITS
-
-    def __post_init__(self):
-        if tuple(tuple(b) for b in self.bits) != _GRAY_BITS:
-            raise ValueError("only the standard MLC Gray mapping is supported")
-
-    def page_bits(self, page: str) -> np.ndarray:
-        """Per-state bit values of one page, as an array of length 4."""
-        k = _page_index(page)
-        return np.array([b[k] for b in self.bits], dtype=np.int64)
-
-    def states_with_bit(self, page: str, value: int) -> tuple:
-        bits = self.page_bits(page)
-        return tuple(int(s) for s in np.nonzero(bits == value)[0])
-
-    def state_of(self, msb, lsb):
-        """Map bit arrays (or scalars) to state indices."""
-        msb = np.asarray(msb, dtype=np.int64)
-        lsb = np.asarray(lsb, dtype=np.int64)
-        lut = np.empty(4, dtype=np.int64)
-        for s, (m, l) in enumerate(self.bits):
-            lut[2 * m + l] = s
-        out = lut[2 * msb + lsb]
-        return out if out.ndim else int(out)
+def gray_state(msb, lsb):
+    """State index of bit arrays (or scalars) under the Gray mapping."""
+    out = _STATE_OF[2 * np.asarray(msb, dtype=np.int64) + lsb]
+    return out if out.ndim else int(out)
 
 
 def _page_index(page: str) -> int:
@@ -116,9 +96,6 @@ def _page_index(page: str) -> int:
     if page == "lsb":
         return 1
     raise ValueError(f"unknown page: {page!r}")
-
-
-GRAY = GrayMap()
 
 
 @dataclass(frozen=True)
@@ -208,24 +185,40 @@ def quantize(v, d: ThresholdSet):
     return out if out.ndim else int(out)
 
 
+def single_states(n_states: int) -> np.ndarray:
+    """Groups for one channel whose inputs are the states themselves."""
+    return np.arange(n_states).reshape(1, n_states, 1)
+
+
+def input_tails(v, models, groups):
+    """Tail mass above voltage(s) v of every channel input; (C, X, *v.shape).
+
+    ``groups`` (C, X, G) names, for each of C channels, the states that
+    input X averages (a page bit averages two states).
+    """
+    v = np.asarray(v, dtype=float)
+    shape = (-1,) + (1,) * v.ndim
+    mus = np.array([m.mu for m in models]).reshape(shape)
+    sigmas = np.array([m.sigma for m in models]).reshape(shape)
+    return q_func((v - mus) / sigmas)[groups].mean(axis=2)
+
+
+def region_masses(tails):
+    """Region masses from tails at J ordered thresholds: (..., J) -> (..., J+1)."""
+    shape = tails.shape[:-1] + (1,)
+    edges = np.concatenate((np.ones(shape), tails, np.zeros(shape)), axis=-1)
+    return np.maximum(edges[..., :-1] - edges[..., 1:], 0.0)
+
+
 def transition_matrix(models, d: ThresholdSet, prior=None) -> DmcChannel:
     """DMC from state Gaussians to read regions (tail-difference masses)."""
-    mus = np.array([m.mu for m in models])
-    sigmas = np.array([m.sigma for m in models])
-    edges = np.concatenate(([-np.inf], d.as_array(), [np.inf]))
-    tails = _q((edges[None, :] - mus[:, None]) / sigmas[:, None])
-    w = np.clip(tails[:, :-1] - tails[:, 1:], 0.0, 1.0)
+    w = region_masses(input_tails(d.as_array(), models, single_states(len(models))))[0]
     if prior is None:
         prior = np.full(len(models), 1.0 / len(models))
     return DmcChannel(prior=prior, w=w)
 
 
-def output_distribution(ch: DmcChannel) -> np.ndarray:
-    """Region probabilities under the channel's input prior."""
-    return ch.prior @ ch.w
-
-
-def llr_table(models, d: ThresholdSet, g: GrayMap = GRAY, l_max: float = L_MAX) -> LlrTable:
+def llr_table(models, d: ThresholdSet, l_max: float = L_MAX) -> LlrTable:
     """Per-region LLRs of both pages: log of bit-1 mass over bit-0 mass.
 
     Regions holding only bit-1 (or only bit-0) mass clamp to +-l_max, and
@@ -235,9 +228,8 @@ def llr_table(models, d: ThresholdSet, g: GrayMap = GRAY, l_max: float = L_MAX) 
         raise ValueError(f"expected {N_STATES} state models")
     ch = transition_matrix(models, d)
     out = np.zeros((ch.n_regions, 2))
-    for k, page in enumerate(("msb", "lsb")):
-        ones = list(g.states_with_bit(page, 1))
-        num = ch.w[ones].sum(axis=0)
+    for k in range(2):
+        num = ch.w[PAGE_STATES[k, 1]].sum(axis=0)
         den = ch.w.sum(axis=0) - num
         for j in range(ch.n_regions):
             if num[j] <= 0.0 and den[j] <= 0.0:
@@ -251,12 +243,9 @@ def llr_table(models, d: ThresholdSet, g: GrayMap = GRAY, l_max: float = L_MAX) 
     return LlrTable(out)
 
 
-def page_subchannel(ch: DmcChannel, g: GrayMap = GRAY, page: str = "msb") -> DmcChannel:
+def page_subchannel(ch: DmcChannel, page: str = "msb") -> DmcChannel:
     """Binary-input marginal of one page: rows indexed by bit value 0, 1."""
     if ch.w.shape[0] != N_STATES:
         raise ValueError("page_subchannel expects the 4-state channel")
-    rows = []
-    for bit in (0, 1):
-        states = list(g.states_with_bit(page, bit))
-        rows.append(ch.w[states].mean(axis=0))
-    return DmcChannel(prior=np.array([0.5, 0.5]), w=np.array(rows))
+    rows = ch.w[PAGE_STATES[_page_index(page)]].mean(axis=1)
+    return DmcChannel(prior=np.array([0.5, 0.5]), w=rows)

@@ -5,15 +5,16 @@ digits from the closed-form noise expressions.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from flashopt.channel import (Condition, DEFAULT_PARAMS, FlashParams,
-                              StateModel, cci_erased_means, cci_shift,
-                              drn_params, pdf_at, rtn_sigma, sample_voltage,
-                              sample_wordline, state_model, state_models)
+                              StateModel, drn_params, pdf_at, rtn_sigma,
+                              sample_voltage, sample_wordline, state_model,
+                              state_models)
 
 
 def test_default_parameter_values():
@@ -34,10 +35,15 @@ def test_params_validation():
         FlashParams(sigma_e=-0.1)
     with pytest.raises(ValueError):
         FlashParams(drn_log="ln")
+    for kwargs in ({"v_p": "x"}, {"sigma_e": None}, {"alpha0": True},
+                   {"v_target": (1.4, "2.6", 3.2, 3.93)}, {"v_target": 5}):
+        with pytest.raises(ValueError):
+            FlashParams(**kwargs)
+    assert FlashParams(v_target=[1.4, 2.6, 3.2, 3.93]) == DEFAULT_PARAMS
 
 
 def test_params_file_roundtrip(tmp_path):
-    p = FlashParams(v_p=0.25, k_x=0.12)
+    p = FlashParams(v_p=0.25, sigma_e=0.3)
     path = tmp_path / "params.json"
     p.to_file(path)
     assert FlashParams.from_file(path) == p
@@ -55,6 +61,13 @@ def test_condition_validation():
         Condition(-1.0, 0.0)
     with pytest.raises(ValueError):
         Condition(0.0, -5.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Condition(bad, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Condition(0.0, bad)
+    with pytest.raises(ValueError):
+        Condition("8000", 0.0)
 
 
 def test_rtn_sigma_frozen():
@@ -143,21 +156,6 @@ def test_sample_wordline_per_state_stats():
     for m in state_models(cond):
         sel = v[states == m.state]
         assert np.mean(sel) == pytest.approx(m.mu, abs=6 * m.sigma / np.sqrt(sel.size))
-
-
-def test_cci_shift_is_coupling_dot_product():
-    dv = np.array([0.5, -0.2, 0.1])
-    zeta = np.array([0.1, 0.08, 0.006])
-    assert cci_shift(dv, zeta) == pytest.approx(0.5 * 0.1 - 0.2 * 0.08 + 0.1 * 0.006)
-    with pytest.raises(ValueError):
-        cci_shift(np.array([1.0, 2.0]), zeta)
-
-
-def test_cci_erased_means_frozen():
-    # v_mean = (1.4 + 3.93)/2 - 1.4 = 1.265
-    even, odd = cci_erased_means()
-    assert even == pytest.approx(1.4 + 1.265 * (2 * 0.1 + 0.08 + 2 * 0.006), abs=1e-12)
-    assert odd == pytest.approx(1.4 + 1.265 * (0.08 + 0.006), abs=1e-12)
 
 
 def test_state_model_validation():

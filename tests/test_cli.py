@@ -196,3 +196,31 @@ def test_pipeline_without_model_exits_2(capsys):
                "--t-list", "0", "--frames", "3"])
     assert rc == 2
     assert "model" in capsys.readouterr().err
+
+
+def test_non_numeric_params_and_cis_exit_2(tmp_path, capsys):
+    for section, key in (("params", "v_p"), ("cis", "lam"), ("cis", "i_max")):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_pe": 8000.0, section: {key: "x"}}))
+        rc = main(["optimize", "--config", str(cfg)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+
+def test_model_file_cut_in_header_exits_2(tmp_path, capsys):
+    d, _ = cis_optimize(Condition(15000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    whole = tmp_path / "m.bin"
+    save_model(make_constant_model(d), whole)
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(whole.read_bytes()[:12])   # magic plus half the header
+    rc = main(["pipeline", "--source", "cis", "--pe-list", "15000",
+               "--t-list", "0", "--frames", "1", "--model-file", str(cut)])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_non_finite_n_pe_exits_2(capsys):
+    for value in ("nan", "inf"):
+        rc = main(["optimize", "--n-pe", value])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err

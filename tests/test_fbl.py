@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from flashopt.channel import Condition, state_models
-from flashopt.fbl import (FblMetrics, achievable_rate, channel_metrics,
-                          eps_max, info_variance, mutual_information, q_func,
-                          q_inv, t_stat)
+from flashopt.fbl import (achievable_rate, eps_max, info_variance,
+                          mutual_information, q_func, q_inv, t_stat)
 from flashopt.quantizer import (DmcChannel, ThresholdSet, hard_thresholds,
                                 page_subchannel, transition_matrix)
 
@@ -121,17 +120,3 @@ def test_achievable_rate_decreasing_in_eps_strictness():
     loose = achievable_rate(4096, 1e-2, i, u)
     tight = achievable_rate(4096, 1e-6, i, u)
     assert tight < loose < i + np.log2(4096) / 8192
-
-
-def test_channel_metrics_composition():
-    cond = Condition(10000.0, 100.0)
-    models = state_models(cond)
-    d = ThresholdSet(hard_thresholds(models))
-    ch = transition_matrix(models, d)
-    sub = page_subchannel(ch, page="lsb")
-    m = channel_metrics(sub, n=2624, rate=0.9)
-    assert isinstance(m, FblMetrics)
-    assert m.i_bits == pytest.approx(mutual_information(sub), rel=1e-14)
-    assert m.u_bits2 == pytest.approx(info_variance(sub), rel=1e-14)
-    assert m.t_stat == pytest.approx(t_stat(2624, 0.9, m.i_bits, m.u_bits2), rel=1e-14)
-    assert m.eps_max == pytest.approx(q_func(m.t_stat), rel=1e-14)

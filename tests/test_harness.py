@@ -1,10 +1,15 @@
 """Sweep driver tests: intervals, determinism, threshold sources."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flashopt
+from flashopt import harness
 from flashopt.channel import Condition, DEFAULT_PARAMS
 from flashopt.harness import (ExperimentConfig, PipelineStats, cp_interval,
                               predict_thresholds, resolve_thresholds, run_ccr,
@@ -213,3 +218,32 @@ def test_run_pipeline_refresh_counts_invocations():
     (_, stats_row), = run_pipeline(cfg, model=model)
     # refreshes fire at frames 3 and 6 regardless of decode outcomes
     assert stats_row.dnn_invocations >= 2
+
+
+def test_cis_t0_searches_once_per_wear_level(monkeypatch):
+    calls = []
+    real = harness.cis_optimize
+
+    def counting(cond, *args, **kwargs):
+        calls.append(cond)
+        return real(cond, *args, **kwargs)
+
+    d, _ = real(Condition(4000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    monkeypatch.setattr(harness, "cis_optimize", counting)
+    cfg = ExperimentConfig(source="cis-t0", pe_list=(4000.0,), t_list=(100.0, 1e5),
+                           frames=2, refresh_interval=0)
+    run_pipeline(cfg, model=constant_model(d))
+    assert calls == [Condition(4000.0, 0.0)]
+    calls.clear()
+    rows = run_fer(cfg)
+    assert calls == [Condition(4000.0, 0.0)]
+    assert [r["frames"] for r in rows] == [2, 2]
+
+
+def test_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flashopt.__file__)))
+    script = "import sys, flashopt; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, cwd="/", env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,18 +1,11 @@
 """Code construction, encoding, and decoder tests."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import flashopt
-from flashopt._accel import HAVE_NUMBA
 from flashopt.ldpc import (CodeSpec, LdpcCode, ParityMatrix, PRESETS,
                            build_code, check_messages, code_from_matrix,
-                           encode, export_matrix, parse_matrix, qc_expand,
-                           sp_decode, syndrome)
+                           encode, qc_expand, sp_decode, syndrome)
 
 HAMMING_74 = np.array([[1, 1, 0, 1, 1, 0, 0],
                        [1, 0, 1, 1, 0, 1, 0],
@@ -53,14 +46,6 @@ def test_dense_roundtrip_and_neighbors():
     assert np.array_equal(pm.var_neighbors(2), [0, 1])
     assert np.array_equal(pm.col_weights(), [1, 1, 2, 1])
     assert np.array_equal(pm.row_weights(), [3, 2])
-
-
-def test_matrix_file_roundtrip(tmp_path):
-    pm = ParityMatrix.from_dense(HAMMING_74)
-    path = tmp_path / "h.txt"
-    export_matrix(pm, path)
-    back = parse_matrix(path)
-    assert np.array_equal(back.dense(), pm.dense())
 
 
 def test_qc_expand_hand_oracle():
@@ -181,7 +166,7 @@ def test_check_messages_brute_force_small():
     pm = ParityMatrix.from_dense(h)
     rng = np.random.default_rng(3)
     v2c = rng.normal(0.0, 2.0, pm.edge_var.size)
-    got = check_messages(v2c, pm, backend="numpy")
+    got = check_messages(v2c, pm)
     t = np.tanh(0.5 * v2c)
     for e in range(pm.edge_var.size):
         ci = pm.edge_check[e]
@@ -197,10 +182,10 @@ def test_check_messages_sign_parity():
     pm = ParityMatrix.from_dense(h)
     rng = np.random.default_rng(1)
     v2c = rng.normal(0.0, 1.5, 5)
-    base = check_messages(v2c, pm, backend="numpy")
+    base = check_messages(v2c, pm)
     mod = v2c.copy()
     mod[2] = -mod[2]
-    out = check_messages(mod, pm, backend="numpy")
+    out = check_messages(mod, pm)
     for e in range(5):
         if e == 2:
             assert out[e] == pytest.approx(base[e], rel=1e-12)
@@ -212,19 +197,9 @@ def test_check_messages_zero_input_blocks_others():
     h = np.ones((1, 4), dtype=np.uint8)
     pm = ParityMatrix.from_dense(h)
     v2c = np.array([0.0, 1.0, -2.0, 0.5])
-    out = check_messages(v2c, pm, backend="numpy")
+    out = check_messages(v2c, pm)
     assert out[0] != 0.0
     assert np.allclose(out[1:], 0.0)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree_on_preset_matrix():
-    pm = build_code("2k-qc", seed=0).h
-    rng = np.random.default_rng(17)
-    v2c = rng.normal(0.0, 3.0, pm.edge_var.size)
-    a = check_messages(v2c, pm, backend="numba")
-    b = check_messages(v2c, pm, backend="numpy")
-    assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_decode_two_bit_repetition_sign_convention():
@@ -263,30 +238,3 @@ def test_decode_deterministic_iterations():
     out2 = sp_decode(code, llr)
     assert np.array_equal(out1[0], out2[0])
     assert out1[1:] == out2[1:]
-
-
-def test_numpy_env_flag_subprocess():
-    """FLASHOPT_NO_NUMBA=1 must produce the same decode result."""
-    script = (
-        "import numpy as np\n"
-        "from flashopt.ldpc import ParityMatrix, code_from_matrix, sp_decode\n"
-        "h = np.array([[1,1,0,1,1,0,0],[1,0,1,1,0,1,0],[0,1,1,1,0,0,1]])\n"
-        "code = code_from_matrix(ParityMatrix.from_dense(h))\n"
-        "llr = np.array([4.0,-4.0,4.0,-4.0,4.0,4.0,-4.0])\n"
-        "bits, ok, it = sp_decode(code, llr)\n"
-        "print(''.join(map(str, bits)), ok, it)\n"
-    )
-    # Both children import the same flashopt this process imported, by
-    # absolute path, so the test does not depend on an installed copy or
-    # on the working directory.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(flashopt.__file__)))
-    base = dict(os.environ, PYTHONPATH=src)
-    base.pop("FLASHOPT_NO_NUMBA", None)
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=dict(base, FLASHOPT_NO_NUMBA="1"),
-                         capture_output=True, text=True, cwd="/")
-    assert out.returncode == 0, out.stderr
-    here = subprocess.run([sys.executable, "-c", script], env=base,
-                          capture_output=True, text=True, cwd="/")
-    assert here.returncode == 0, here.stderr
-    assert out.stdout == here.stdout

@@ -5,9 +5,10 @@ import struct
 import numpy as np
 import pytest
 
+from flashopt import mlp
 from flashopt.channel import DEFAULT_PARAMS, Condition, sample_wordline
 from flashopt.mlp import (GenConfig, MlpModel, Sample, TrainConfig,
-                          adam_step_inplace, backprop, default_model, forward,
+                          adam_step_inplace, backprop, forward,
                           gen_training_data, histogram_features, load_dataset,
                           load_model, mse_loss, reference_thresholds,
                           save_dataset, save_model, train, xavier_model)
@@ -39,13 +40,6 @@ def test_model_validation():
     with pytest.raises(ValueError):
         MlpModel(dims=(3, 2), weights=[np.zeros((3, 2))], biases=[np.zeros(2)],
                  scale=6.0, x_scale=np.array([1.0, 0.0, 1.0]))
-
-
-def test_default_model_shape():
-    model = default_model(j_levels=6)
-    assert model.n_inputs == 7
-    assert model.n_outputs == 6
-    assert model.dims == (7, 512, 256, 128, 6)
 
 
 def test_forward_sorted_and_scaled():
@@ -107,7 +101,7 @@ def test_adam_single_step_hand_oracle():
     gb = [rng.normal(size=b.shape) for b in model.biases]
     cfg = TrainConfig(lr=0.01)
     state = {}
-    adam_step_inplace(model, gw, gb, state, cfg)
+    adam_step_inplace(model, gw, gb, state, cfg, cfg.lr)
     # first step: m_hat = g, v_hat = g^2, so the update is lr*g/(|g|+eps)
     for i in range(len(w0)):
         expect = w0[i] - cfg.lr * gw[i] / (np.abs(gw[i]) + cfg.adam_eps)
@@ -129,8 +123,8 @@ def test_adam_second_step_hand_oracle():
     gw2[0] = g2
     cfg = TrainConfig(lr=0.1)
     state = {}
-    adam_step_inplace(model, gw1, zeros_b, state, cfg)
-    adam_step_inplace(model, gw2, zeros_b, state, cfg)
+    adam_step_inplace(model, gw1, zeros_b, state, cfg, cfg.lr)
+    adam_step_inplace(model, gw2, zeros_b, state, cfg, cfg.lr)
     b1, b2, e = cfg.beta1, cfg.beta2, cfg.adam_eps
     m2 = b1 * (1 - b1) * 1.0 + (1 - b1) * 2.0
     v2 = b2 * (1 - b2) * 1.0 + (1 - b2) * 4.0
@@ -209,6 +203,28 @@ def test_train_lr_decay():
     flat, _ = train(samples, TrainConfig(lr=3e-3, epochs=300, batch=16),
                     seed=0, dims=(3, 16, 2))
     assert not np.array_equal(model.weights[0], flat.weights[0])
+
+
+def test_train_steps_through_adam_step_inplace(monkeypatch):
+    rates = []
+    real = mlp.adam_step_inplace
+
+    def spy(model, grads_w, grads_b, state, cfg, lr):
+        rates.append(lr)
+        return real(model, grads_w, grads_b, state, cfg, lr)
+
+    monkeypatch.setattr(mlp, "adam_step_inplace", spy)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.1, 1.0, (8, 3))
+    x /= x.sum(axis=1, keepdims=True)
+    samples = [Sample(tuple(xi), (0.2 + 0.1 * xi[0], 0.6)) for xi in x]
+    cfg = TrainConfig(lr=1e-2, epochs=3, batch=4, lr_final=1e-3)
+    train(samples, cfg, seed=0, dims=(3, 4, 2))
+    # two steps per epoch, each at the cosine-decayed rate of its step
+    assert len(rates) == 6
+    for step, lr in enumerate(rates):
+        frac = 0.5 * (1.0 + np.cos(np.pi * step / 6))
+        assert lr == pytest.approx(1e-3 + 9e-3 * frac, rel=1e-12)
 
 
 def test_sample_validation():

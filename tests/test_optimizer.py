@@ -21,6 +21,10 @@ def test_config_validation():
         CisConfig(grid_step=0.3)  # window smaller than one step
     with pytest.raises(ValueError):
         CisConfig(restarts=-1)
+    for kwargs in ({"lam": "x"}, {"i_max": 2.5}, {"j_levels": None},
+                   {"uniform_init": "yes"}):
+        with pytest.raises(ValueError):
+            CisConfig(**kwargs)
 
 
 def test_init_recipe_spacing():

@@ -5,10 +5,13 @@ import pytest
 from scipy import integrate
 
 from flashopt.channel import Condition, StateModel, pdf_at, state_models
-from flashopt.quantizer import (DmcChannel, GRAY, GrayMap, LlrTable,
-                                ThresholdSet, hard_thresholds, llr_table,
-                                output_distribution, page_subchannel, quantize,
+from flashopt.quantizer import (PAGE_STATES, DmcChannel, LlrTable,
+                                ThresholdSet, gray_state, hard_thresholds,
+                                llr_table, page_subchannel, quantize,
                                 transition_matrix)
+
+# state -> (msb, lsb) of the standard MLC Gray mapping
+GRAY_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
 
 
 def test_threshold_set_validation():
@@ -67,7 +70,7 @@ def test_transition_rows_sum_to_one():
     models = state_models(Condition(15000.0, 5000.0))
     ch = transition_matrix(models, ThresholdSet((2.0, 3.0)))
     assert np.allclose(ch.w.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(output_distribution(ch).sum(), 1.0, atol=1e-12)
+    assert np.allclose((ch.prior @ ch.w).sum(), 1.0, atol=1e-12)
 
 
 def test_dmc_validation():
@@ -78,25 +81,21 @@ def test_dmc_validation():
 
 
 def test_gray_mapping_fixed():
-    assert GRAY.bits == ((1, 1), (1, 0), (0, 0), (0, 1))
-    assert GRAY.states_with_bit("msb", 1) == (0, 1)
-    assert GRAY.states_with_bit("msb", 0) == (2, 3)
-    assert GRAY.states_with_bit("lsb", 1) == (0, 3)
-    assert GRAY.states_with_bit("lsb", 0) == (1, 2)
+    assert PAGE_STATES.tolist() == [[[2, 3], [0, 1]], [[1, 2], [0, 3]]]
+    for page in range(2):
+        for bit in range(2):
+            expect = [s for s in range(4) if GRAY_BITS[s][page] == bit]
+            assert sorted(PAGE_STATES[page, bit]) == expect
     # adjacent states differ in exactly one bit
-    for a, b in zip(GRAY.bits[:-1], GRAY.bits[1:]):
+    for a, b in zip(GRAY_BITS[:-1], GRAY_BITS[1:]):
         assert sum(x != y for x, y in zip(a, b)) == 1
 
 
 def test_gray_state_of_inverts_bits():
     msb = np.array([1, 1, 0, 0], dtype=np.uint8)
     lsb = np.array([1, 0, 0, 1], dtype=np.uint8)
-    assert np.array_equal(GRAY.state_of(msb, lsb), [0, 1, 2, 3])
-
-
-def test_gray_rejects_other_maps():
-    with pytest.raises(ValueError):
-        GrayMap(bits=((0, 0), (0, 1), (1, 1), (1, 0)))
+    assert np.array_equal(gray_state(msb, lsb), [0, 1, 2, 3])
+    assert gray_state(0, 1) == 3
 
 
 def test_hard_thresholds_match_density_scan():
@@ -136,7 +135,7 @@ def test_llr_table_matches_quadrature():
 
     for j in range(len(edges) - 1):
         for col, page in enumerate(("msb", "lsb")):
-            ones = GRAY.states_with_bit(page, 1)
+            ones = list(PAGE_STATES[col, 1])
             num = sum(0.25 * mass(models[s], edges[j], edges[j + 1]) for s in ones)
             den = sum(0.25 * mass(models[s], edges[j], edges[j + 1])
                       for s in range(4) if s not in ones)
@@ -158,7 +157,7 @@ def test_llr_monte_carlo_sanity():
     sigmas = np.array([m.sigma for m in models])
     volts = mus[states] + sigmas[states] * rng.standard_normal(states.size)
     regions = quantize(volts, d)
-    msb = np.array([GRAY.bits[s][0] for s in range(4)])[states]
+    msb = np.array([GRAY_BITS[s][0] for s in range(4)])[states]
     for j in range(d.j_levels + 1):
         sel = regions == j
         ones = np.count_nonzero(msb[sel])
