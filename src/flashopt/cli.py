@@ -11,73 +11,110 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from .channel import Condition, FlashParams
-from .harness import (ExperimentConfig, SOURCES, run_ccr, run_fer,
+from .harness import (ExperimentConfig, SOURCES, _write_csv, run_ccr, run_fer,
                       run_pipeline)
 from .ldpc import PRESETS
 from .mlp import (GenConfig, TrainConfig, gen_training_data, load_dataset,
                   save_dataset, save_model, train)
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
 
-
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return data
+_WHAT = {float: "a number", int: "an integer", str: "a path string",
+         dict: "a JSON object"}
+_ACCEPTS = {float: (int, float), int: int, str: str, dict: dict}
 
 
-def _merge(config: dict, args: argparse.Namespace, keys) -> dict:
-    """Config file values overridden by explicitly passed flags."""
-    merged = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+class Field(NamedTuple):
+    """One config key: the kind of its values and the subcommands that take
+    it.  Its flag is the key with dashes (a dict-valued section has none).
+    A list field takes a comma-separated string or a JSON list of its kind;
+    a single value is a list of one."""
+
+    key: str
+    kind: type                 # float, int, str (a path or a choice) or dict
+    commands: tuple
+    many: bool = False
+    choices: tuple = ()
+
+    @property
+    def flag(self) -> str | None:
+        return None if self.kind is dict else "--" + self.key.replace("_", "-")
+
+    @property
+    def what(self) -> str:
+        one = "one of " + ", ".join(self.choices) if self.choices else _WHAT[self.kind]
+        if self.many:
+            return f"a comma-separated string or JSON list, each item {one}"
+        return one
+
+    def parse(self, value):
+        """A flag string or a config value as this field's kind."""
+        try:
+            if not self.many:
+                return self._one(value)
+            items = ([tok for tok in value.split(",") if tok] if isinstance(value, str)
+                     else value if isinstance(value, list) else [value])
+            return tuple(self._one(v) for v in items)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{self.key} must be {self.what}, got {value!r}") from None
+
+    def _one(self, value):
+        if isinstance(value, str) and self.kind in (float, int):
+            return self.kind(value)
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[self.kind]):
+            raise TypeError(value)
+        if self.choices and value not in self.choices:
+            raise ValueError(value)
+        return self.kind(value)
 
 
-def _pop_params(merged: dict) -> FlashParams:
-    if "params_file" in merged:
-        return FlashParams.from_file(merged.pop("params_file"))
-    raw = merged.pop("params", None)
-    if raw is None:
-        return FlashParams()
-    if not isinstance(raw, dict):
-        raise ValueError("'params' must be a JSON object")
-    _check_keys(raw, FlashParams.__dataclass_fields__, "params")
-    return FlashParams(**raw)
+_ALL = ("optimize", "fer", "ccr", "pipeline", "train")
+_SWEEPS = ("fer", "ccr", "pipeline")
 
-
-def _pop_cis(merged: dict, j_levels: int) -> CisConfig:
-    raw = merged.pop("cis", {})
-    if not isinstance(raw, dict):
-        raise ValueError("'cis' must be a JSON object")
-    # j_levels is a top-level option, so it is not accepted here
-    _check_keys(raw, set(CisConfig.__dataclass_fields__) - {"j_levels"}, "cis")
-    return CisConfig(j_levels=j_levels, **raw)
-
-
-def _floats(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(tok) for tok in str(text).split(",") if tok)
-
-
-def _ints(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(tok) for tok in str(text).split(",") if tok)
-
-
-def _names(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(str(v) for v in text)
-    return tuple(tok for tok in str(text).split(",") if tok)
+FIELDS = {f.key: f for f in (
+    Field("j_levels", int, _ALL),
+    Field("seed", int, _ALL),
+    Field("params_file", str, _ALL),
+    Field("params", dict, _ALL),
+    Field("cis", dict, _ALL),
+    Field("out", str, ("optimize",) + _SWEEPS),
+    Field("block_n", int, ("optimize", "train")),
+    Field("rate", float, ("optimize", "train")),
+    Field("method", str, ("optimize",), choices=("cis", "mmi")),
+    Field("n_pe", float, ("optimize",)),
+    Field("t_ret", float, ("optimize",)),
+    Field("history_out", str, ("optimize",)),
+    Field("code", str, _SWEEPS, choices=tuple(sorted(PRESETS))),
+    Field("source", str, _SWEEPS, choices=SOURCES),
+    Field("pe_list", float, _SWEEPS, many=True),
+    Field("t_list", float, _SWEEPS, many=True),
+    Field("code_list", str, _SWEEPS, many=True, choices=tuple(sorted(PRESETS))),
+    Field("j_list", int, _SWEEPS, many=True),
+    Field("frames", int, _SWEEPS),
+    Field("i_max", int, _SWEEPS),
+    Field("code_seed", int, _SWEEPS),
+    Field("max_frame_errors", int, _SWEEPS),
+    Field("rate_eps", float, _SWEEPS),
+    Field("refresh_interval", int, _SWEEPS),
+    Field("thresholds_file", str, _SWEEPS),
+    Field("model_file", str, _SWEEPS),
+    Field("count", int, ("train",)),
+    Field("cells", int, ("train",)),
+    Field("pe_set", float, ("train",), many=True),
+    Field("t_lo", float, ("train",)),
+    Field("t_hi", float, ("train",)),
+    Field("epochs", int, ("train",)),
+    Field("lr", float, ("train",)),
+    Field("lr_final", float, ("train",)),
+    Field("batch", int, ("train",)),
+    Field("hidden", int, ("train",), many=True),
+    Field("dataset_in", str, ("train",)),
+    Field("dataset_out", str, ("train",)),
+    Field("model_out", str, ("train",)),
+    Field("loss_out", str, ("train",)),
+)}
 
 
 def _check_keys(merged: dict, allowed, label: str) -> None:
@@ -86,89 +123,43 @@ def _check_keys(merged: dict, allowed, label: str) -> None:
         raise ValueError(f"unknown {label} option(s): {sorted(unknown)}")
 
 
-# -- optimize ----------------------------------------------------------------
-
-_OPT_KEYS = ("method", "n_pe", "t_ret", "j_levels", "block_n", "rate", "seed",
-             "out", "history_out", "params", "params_file", "cis")
+def _pick(settings: dict, *keys) -> dict:
+    return {key: settings[key] for key in keys if key in settings}
 
 
-def _cmd_optimize(args) -> int:
-    merged = _merge(_load_config(args.config), args,
-                    ("method", "n_pe", "t_ret", "j_levels", "block_n", "rate",
-                     "seed", "out", "history_out", "params_file"))
-    params = _pop_params(merged)
-    j_levels = int(merged.pop("j_levels", 6))
-    cis = _pop_cis(merged, j_levels)
-    _check_keys(merged, _OPT_KEYS, "optimize")
-    method = merged.get("method", "cis")
-    cond = Condition(float(merged.get("n_pe", 0.0)), float(merged.get("t_ret", 0.0)))
-    seed = int(merged.get("seed", 0))
-    history = []
-    if method == "cis":
-        d, history = cis_optimize(cond, params, int(merged.get("block_n", 2624)),
-                                  float(merged.get("rate", 0.9)), cis, seed=seed)
-    elif method == "mmi":
-        d = mmi_optimize(cond, params, cis, seed=seed)
-    else:
-        raise ValueError(f"unknown method {method!r} (expected cis or mmi)")
-    out = merged.get("out")
-    if out:
-        d.to_file(out)
-    else:
-        for v in d.d:
-            print(f"{v:.9g}")
-    hist_out = merged.get("history_out")
-    if hist_out:
-        with open(hist_out, "w", encoding="utf-8") as fh:
-            fh.write("sweep,objective\n")
-            for i, val in enumerate(history):
-                fh.write(f"{i},{val:.12g}\n")
-    return 0
+def _pop_params(settings: dict) -> FlashParams:
+    if "params_file" in settings:
+        if "params" in settings:
+            raise ValueError("give params or params_file, not both")
+        return FlashParams.from_file(settings.pop("params_file"))
+    raw = settings.pop("params", {})
+    _check_keys(raw, FlashParams.__dataclass_fields__, "params")
+    return FlashParams(**raw)
 
 
-# -- shared sweep config -----------------------------------------------------
-
-_SWEEP_FLAGS = ("code", "source", "j_levels", "frames", "i_max", "seed",
-                "code_seed", "max_frame_errors", "rate_eps", "refresh_interval",
-                "thresholds_file", "model_file", "out", "params_file")
-_SWEEP_KEYS = _SWEEP_FLAGS + ("pe_list", "t_list", "code_list", "j_list",
-                              "params", "cis")
+def _pop_cis(settings: dict) -> CisConfig:
+    raw = settings.pop("cis", {})
+    # j_levels is a top-level option, so it is not accepted here
+    _check_keys(raw, set(CisConfig.__dataclass_fields__) - {"j_levels"}, "cis")
+    return CisConfig(**raw, **_pick(settings, "j_levels"))
 
 
-def _experiment_config(args, defaults=None) -> ExperimentConfig:
-    merged = dict(defaults or {})
-    merged.update(_load_config(args.config))
-    for key in _SWEEP_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    if getattr(args, "pe_list", None) is not None:
-        merged["pe_list"] = args.pe_list
-    if getattr(args, "t_list", None) is not None:
-        merged["t_list"] = args.t_list
-    if getattr(args, "code_list", None) is not None:
-        merged["code_list"] = args.code_list
-    if getattr(args, "j_list", None) is not None:
-        merged["j_list"] = args.j_list
-    params = _pop_params(merged)
-    j_levels = int(merged.pop("j_levels", 6))
-    cis = _pop_cis(merged, j_levels)
-    _check_keys(merged, set(_SWEEP_KEYS) - {"params", "cis", "j_levels", "params_file"},
-                "sweep")
-    for key in ("pe_list", "t_list"):
-        if key in merged:
-            merged[key] = _floats(merged[key])
-    if "code_list" in merged:
-        merged["code_list"] = _names(merged["code_list"])
-    if "j_list" in merged:
-        merged["j_list"] = _ints(merged["j_list"])
-    for key in ("frames", "i_max", "seed", "code_seed", "max_frame_errors",
-                "refresh_interval"):
-        if key in merged:
-            merged[key] = int(merged[key])
-    if "rate_eps" in merged:
-        merged["rate_eps"] = float(merged["rate_eps"])
-    return ExperimentConfig(params=params, cis=cis, j_levels=j_levels, **merged)
+def _settings(args):
+    """The config file overridden by explicitly passed flags, each value
+    parsed by its field (keys that neither sets are absent), with the
+    channel parameters and the search config built from it."""
+    merged = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    fields = {key: f for key, f in FIELDS.items() if args.command in f.commands}
+    _check_keys(merged, fields, args.command)
+    merged.update((key, val) for key, val in vars(args).items()
+                  if key in fields and val is not None)
+    settings = {key: fields[key].parse(val) for key, val in merged.items()}
+    return settings, _pop_params(settings), _pop_cis(settings)
 
 
 def _print_rows(rows, columns) -> None:
@@ -178,80 +169,74 @@ def _print_rows(rows, columns) -> None:
                        for c in columns))
 
 
+# -- subcommands -------------------------------------------------------------
+
+def _cmd_optimize(args) -> int:
+    s, params, cis = _settings(args)
+    cond = Condition(**_pick(s, "n_pe", "t_ret"))
+    seed = s.get("seed", 0)
+    if s.get("method", "cis") == "cis":
+        d, history = cis_optimize(cond, params, s.get("block_n", 2624),
+                                  s.get("rate", 0.9), cis, seed=seed)
+    else:
+        d, history = mmi_optimize(cond, params, cis, seed=seed), []
+    if s.get("out"):
+        d.to_file(s["out"])
+    else:
+        for v in d.d:
+            print(f"{v:.9g}")
+    if s.get("history_out"):
+        _write_csv(s["history_out"], ["sweep", "objective"], enumerate(history))
+    return 0
+
+
+def _experiment_config(args, **defaults) -> ExperimentConfig:
+    s, params, cis = _settings(args)
+    return ExperimentConfig(params=params, cis=cis, **{**defaults, **s})
+
+
 def _cmd_fer(args) -> int:
-    cfg = _experiment_config(args)
-    rows = run_fer(cfg)
+    rows = run_fer(_experiment_config(args))
     _print_rows(rows, ["source", "code", "n_pe", "t_ret", "frames", "errors", "fer"])
     return 0
 
 
 def _cmd_ccr(args) -> int:
-    cfg = _experiment_config(args)
-    rows = run_ccr(cfg)
+    rows = run_ccr(_experiment_config(args))
     _print_rows(rows, ["code", "j_levels", "n_pe", "t_ret", "n", "rate"])
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = _experiment_config(args, defaults={"source": "cis-t0"})
-    results = run_pipeline(cfg)
-    print("n_pe,t_ret,frames,first_pass_failures,dnn_invocations,bad_blocks")
-    for cond, st in results:
-        print(f"{cond.n_pe:g},{cond.t_ret:g},{st.frames},{st.first_pass_failures},"
-              f"{st.dnn_invocations},{st.bad_blocks}")
+    results = run_pipeline(_experiment_config(args, source="cis-t0"))
+    _print_rows([{"n_pe": c.n_pe, "t_ret": c.t_ret, **vars(st)} for c, st in results],
+                ["n_pe", "t_ret", "frames", "first_pass_failures", "dnn_invocations",
+                 "bad_blocks"])
     return 0
 
 
-# -- train -------------------------------------------------------------------
-
-_TRAIN_KEYS = ("count", "cells", "pe_set", "t_lo", "t_hi", "block_n", "rate",
-               "j_levels", "epochs", "lr", "lr_final", "batch", "hidden",
-               "seed", "dataset_in", "dataset_out", "model_out", "loss_out",
-               "params", "params_file", "cis")
-
-
 def _cmd_train(args) -> int:
-    merged = _merge(_load_config(args.config), args,
-                    ("count", "cells", "pe_set", "t_lo", "t_hi", "block_n",
-                     "rate", "j_levels", "epochs", "lr", "lr_final", "batch",
-                     "hidden", "seed", "dataset_in", "dataset_out",
-                     "model_out", "loss_out", "params_file"))
-    params = _pop_params(merged)
-    j_levels = int(merged.pop("j_levels", 6))
-    cis = _pop_cis(merged, j_levels)
-    _check_keys(merged, _TRAIN_KEYS, "train")
-    seed = int(merged.get("seed", 0))
-    gen_cfg = GenConfig(count=int(merged.get("count", 2000)),
-                        block_n=int(merged.get("block_n", 2624)),
-                        rate=float(merged.get("rate", 0.9)),
-                        cis=cis)
-    if merged.get("dataset_in"):
-        samples = load_dataset(merged["dataset_in"], n_features=j_levels + 1)
+    s, params, cis = _settings(args)
+    seed = s.get("seed", 0)
+    gen_cfg = GenConfig(cis=cis, **_pick(s, "count", "block_n", "rate"))
+    if s.get("dataset_in"):
+        samples = load_dataset(s["dataset_in"], n_features=cis.j_levels + 1)
     else:
-        pe_set = _floats(merged.get("pe_set", "2000,6000,10000,14000"))
-        t_range = (float(merged.get("t_lo", 0.0)), float(merged.get("t_hi", 1e6)))
-        samples = gen_training_data(params, pe_set, t_range,
-                                    cells=int(merged.get("cells", 100_000)),
-                                    cfg=gen_cfg, seed=seed)
-    if merged.get("dataset_out"):
-        save_dataset(samples, merged["dataset_out"])
-    train_cfg = TrainConfig(lr=float(merged.get("lr", 1e-5)),
-                            epochs=int(merged.get("epochs", 100_000)),
-                            batch=int(merged.get("batch", 500)),
-                            lr_final=float(merged.get("lr_final", 0.0)))
+        samples = gen_training_data(
+            params, s.get("pe_set", (2000.0, 6000.0, 10000.0, 14000.0)),
+            (s.get("t_lo", 0.0), s.get("t_hi", 1e6)), cells=s.get("cells", 100_000),
+            cfg=gen_cfg, seed=seed)
+    if s.get("dataset_out"):
+        save_dataset(samples, s["dataset_out"])
+    train_cfg = TrainConfig(**_pick(s, "lr", "epochs", "batch", "lr_final"))
     dims = None
-    if merged.get("hidden"):
-        dims = (j_levels + 1, *_ints(merged["hidden"]), j_levels)
+    if s.get("hidden"):
+        dims = (cis.j_levels + 1, *s["hidden"], cis.j_levels)
     model, losses = train(samples, train_cfg, seed=seed, dims=dims)
-    model_out = merged.get("model_out")
-    if model_out:
-        save_model(model, model_out)
-    loss_out = merged.get("loss_out")
-    if loss_out:
-        with open(loss_out, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss\n")
-            for i, val in enumerate(losses):
-                fh.write(f"{i},{val:.12g}\n")
+    if s.get("model_out"):
+        save_model(model, s["model_out"])
+    if s.get("loss_out"):
+        _write_csv(s["loss_out"], ["epoch", "loss"], enumerate(losses))
     print(f"trained {len(samples)} samples, {train_cfg.epochs} epochs, "
           f"final loss {losses[-1]:.6g}")
     return 0
@@ -259,74 +244,27 @@ def _cmd_train(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+_COMMANDS = {
+    "optimize": (_cmd_optimize, "design thresholds for one condition"),
+    "fer": (_cmd_fer, "run the fer sweep"),
+    "ccr": (_cmd_ccr, "run the ccr sweep"),
+    "pipeline": (_cmd_pipeline, "run the pipeline sweep"),
+    "train": (_cmd_train, "generate data and fit the regressor"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flashopt",
                                      description="read-threshold design and "
                                                  "decoding experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optimize", help="design thresholds for one condition")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--method", choices=("cis", "mmi"))
-    p.add_argument("--n-pe", dest="n_pe", type=float)
-    p.add_argument("--t-ret", dest="t_ret", type=float)
-    p.add_argument("--j-levels", dest="j_levels", type=int)
-    p.add_argument("--block-n", dest="block_n", type=int)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params-file", dest="params_file")
-    p.add_argument("--out", help="write thresholds here instead of stdout")
-    p.add_argument("--history-out", dest="history_out")
-    p.set_defaults(func=_cmd_optimize)
-
-    for name, func, extra in (("fer", _cmd_fer, True),
-                              ("ccr", _cmd_ccr, True),
-                              ("pipeline", _cmd_pipeline, True)):
-        p = sub.add_parser(name, help=f"run the {name} sweep")
+    for name, (func, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--code", choices=sorted(PRESETS))
-        p.add_argument("--source", choices=SOURCES)
-        p.add_argument("--j-levels", dest="j_levels", type=int)
-        p.add_argument("--pe-list", dest="pe_list", type=_floats)
-        p.add_argument("--t-list", dest="t_list", type=_floats)
-        p.add_argument("--code-list", dest="code_list", type=_names)
-        p.add_argument("--j-list", dest="j_list", type=_ints)
-        p.add_argument("--frames", type=int)
-        p.add_argument("--i-max", dest="i_max", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--code-seed", dest="code_seed", type=int)
-        p.add_argument("--max-frame-errors", dest="max_frame_errors", type=int)
-        p.add_argument("--rate-eps", dest="rate_eps", type=float)
-        p.add_argument("--refresh-interval", dest="refresh_interval", type=int)
-        p.add_argument("--thresholds-file", dest="thresholds_file")
-        p.add_argument("--model-file", dest="model_file")
-        p.add_argument("--params-file", dest="params_file")
-        p.add_argument("--out", help="CSV output path")
+        for f in FIELDS.values():
+            if name in f.commands and f.flag:
+                p.add_argument(f.flag, help=f.what)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("train", help="generate data and fit the regressor")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--count", type=int)
-    p.add_argument("--cells", type=int)
-    p.add_argument("--pe-set", dest="pe_set")
-    p.add_argument("--t-lo", dest="t_lo", type=float)
-    p.add_argument("--t-hi", dest="t_hi", type=float)
-    p.add_argument("--block-n", dest="block_n", type=int)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--j-levels", dest="j_levels", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-final", dest="lr_final", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--hidden", help="comma-separated hidden layer widths")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dataset-in", dest="dataset_in")
-    p.add_argument("--dataset-out", dest="dataset_out")
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--loss-out", dest="loss_out")
-    p.add_argument("--params-file", dest="params_file")
-    p.set_defaults(func=_cmd_train)
-
     return parser
 
 

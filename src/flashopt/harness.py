@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import betainccinv, betaincinv
 
-from .channel import Condition, FlashParams, sample_wordline, state_models
+from .channel import (Condition, FlashParams, check_numbers, sample_wordline,
+                      state_models)
 from .fbl import achievable_rate, mutual_information, info_variance
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
@@ -59,6 +60,9 @@ class ExperimentConfig:
     cis: CisConfig = field(default_factory=CisConfig)
 
     def __post_init__(self):
+        check_numbers(self, ("j_levels", "frames", "i_max", "seed", "code_seed",
+                             "max_frame_errors", "refresh_interval"), integral=True)
+        check_numbers(self, ("rate_eps",))
         if self.source not in SOURCES:
             raise ValueError(f"unknown threshold source {self.source!r}")
         if self.frames < 1 or self.i_max < 1 or self.max_frame_errors < 1:
@@ -184,6 +188,22 @@ def _pilot_rng(cfg: ExperimentConfig, point: int):
     return np.random.default_rng((cfg.seed, 2, point))
 
 
+def _point_thresholds(cfg: ExperimentConfig, cond: Condition, point: int, spec,
+                      ref: ThresholdSet | None, model) -> ThresholdSet:
+    """Thresholds a sweep point starts from: the zero-retention reference
+    ``ref`` itself for "cis-t0", and for "dnn" the network's reading of one
+    pilot block at the true condition, histogrammed against ``ref``."""
+    if cfg.source == "cis-t0":
+        return ref
+    features = None
+    if cfg.source == "dnn":
+        pilot = _pilot_rng(cfg, point)
+        states = pilot.integers(0, 4, size=spec.n)
+        volts = sample_wordline(states, cond, cfg.params, pilot)
+        features = histogram_features(volts, ref)
+    return resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features)
+
+
 def _simulate_block(code: LdpcCode, cond: Condition, params: FlashParams, rng):
     """Encode two fresh pages, program, and read back cell voltages."""
     info_m = rng.integers(0, 2, size=code.info_len, dtype=np.uint8)
@@ -228,14 +248,7 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
             ref = _zero_retention(cfg, n_pe, spec.n, spec.rate)
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
-            features = None
-            if cfg.source == "dnn":
-                pilot = _pilot_rng(cfg, point)
-                states = pilot.integers(0, 4, size=spec.n)
-                volts = sample_wordline(states, cond, cfg.params, pilot)
-                features = histogram_features(volts, ref)
-            d = (ref if cfg.source == "cis-t0" else
-                 resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features))
+            d = _point_thresholds(cfg, cond, point, spec, ref, model)
             table = llr_table(state_models(cond, cfg.params), d)
             errors = 0
             frames_run = 0
@@ -329,14 +342,7 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
             cond_models = models_cache.setdefault(cond, state_models(cond, cfg.params))
-            features = None
-            if cfg.source == "dnn":
-                pilot = _pilot_rng(cfg, point)
-                states = pilot.integers(0, 4, size=spec.n)
-                volts = sample_wordline(states, cond, cfg.params, pilot)
-                features = histogram_features(volts, ref)
-            current = (ref if cfg.source == "cis-t0" else
-                       resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features))
+            current = _point_thresholds(cfg, cond, point, spec, ref, model)
             table = llr_table(cond_models, current)
             first_fail = 0
             invocations = 0

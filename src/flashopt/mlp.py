@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Condition, FlashParams, sample_wordline, N_STATES
+from .channel import (Condition, FlashParams, N_STATES, check_numbers,
+                      sample_wordline)
 from .optimizer import CisConfig, cis_optimize
 from .quantizer import ThresholdSet, quantize
 
@@ -98,6 +99,8 @@ class TrainConfig:
     lr_final: float = 0.0  # >0 enables cosine decay from lr down to this
 
     def __post_init__(self):
+        check_numbers(self, ("epochs", "batch"), integral=True)
+        check_numbers(self, ("lr", "beta1", "beta2", "adam_eps", "lr_final"))
         if self.lr <= 0 or self.epochs < 1 or self.batch < 1:
             raise ValueError("lr, epochs, and batch must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -285,6 +288,8 @@ class GenConfig:
     scale: float = THRESHOLD_SCALE
 
     def __post_init__(self):
+        check_numbers(self, ("count", "block_n"), integral=True)
+        check_numbers(self, ("rate", "scale"))
         if self.count < 1:
             raise ValueError("count must be positive")
 

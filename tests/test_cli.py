@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flashopt.channel import Condition, DEFAULT_PARAMS
-from flashopt.cli import main
+from flashopt.cli import FIELDS, build_parser, main
 from flashopt.mlp import MlpModel, load_model, save_model
 from flashopt.optimizer import cis_optimize
 from flashopt.quantizer import ThresholdSet
@@ -224,3 +224,74 @@ def test_non_finite_n_pe_exits_2(capsys):
         rc = main(["optimize", "--n-pe", value])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("optimize", {"n_pe": None}, "n_pe"),
+    ("ccr", {"frames": [3]}, "frames"),
+    ("train", {"lr": None}, "lr"),
+    ("optimize", {"j_levels": 6.7}, "j_levels"),
+    ("ccr", {"frames": 2.9}, "frames"),
+    ("optimize", {"seed": True}, "seed"),
+    ("optimize", {"out": True}, "out"),
+    ("optimize", {"history_out": 7}, "history_out"),
+    ("ccr", {"code": 5}, "code must be one of 2k-qc, 2k-random, 4k-qc"),
+])
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_params_with_params_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"v_p": 0.2}}))
+    DEFAULT_PARAMS.to_file(tmp_path / "p.json")
+    rc = main(["optimize", "--config", str(cfg), "--params-file", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert "params_file" in capsys.readouterr().err
+
+
+def test_list_keys_take_json_lists_and_comma_strings():
+    for key, as_list, as_text, want in (
+            ("pe_list", [8000, 9000.5], "8000,9000.5", (8000.0, 9000.5)),
+            ("j_list", [6, 9], "6,9", (6, 9)),
+            ("code_list", ["2k-qc", "4k-qc"], "2k-qc,4k-qc", ("2k-qc", "4k-qc")),
+            ("hidden", [12, 5], "12,5", (12, 5))):
+        assert FIELDS[key].parse(as_list) == FIELDS[key].parse(as_text) == want
+
+
+# The CLI surface: every flag of every subcommand and every config key it
+# accepts.  Adding, dropping or renaming one is a user-visible change.
+_SWEEP_FLAGS = {"--code", "--code-list", "--code-seed", "--frames", "--i-max",
+                "--j-levels", "--j-list", "--max-frame-errors", "--model-file",
+                "--out", "--params-file", "--pe-list", "--rate-eps",
+                "--refresh-interval", "--seed", "--source", "--t-list",
+                "--thresholds-file"}
+SURFACE_FLAGS = {
+    "optimize": {"--block-n", "--history-out", "--j-levels", "--method", "--n-pe",
+                 "--out", "--params-file", "--rate", "--seed", "--t-ret"},
+    "fer": _SWEEP_FLAGS,
+    "ccr": _SWEEP_FLAGS,
+    "pipeline": _SWEEP_FLAGS,
+    "train": {"--batch", "--block-n", "--cells", "--count", "--dataset-in",
+              "--dataset-out", "--epochs", "--hidden", "--j-levels", "--loss-out",
+              "--lr", "--lr-final", "--model-out", "--params-file", "--pe-set",
+              "--rate", "--seed", "--t-hi", "--t-lo"},
+}
+
+
+def test_cli_surface_is_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(SURFACE_FLAGS)
+    for command, flags in SURFACE_FLAGS.items():
+        parsed = {s for a in subparsers[command]._actions for s in a.option_strings}
+        assert parsed == flags | {"-h", "--help", "--config"}, command
+        # every flag sets the config key of the same name, and the config
+        # file also takes the params and cis sections
+        keys = {f.replace("-", "_")[2:] for f in flags} | {"params", "cis"}
+        assert {k for k, f in FIELDS.items() if command in f.commands} == keys, command

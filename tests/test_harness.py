@@ -103,6 +103,10 @@ def test_experiment_config_validation():
         ExperimentConfig(pe_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(rate_eps=1.5)
+    for bad in ({"frames": 2.5}, {"seed": True}, {"j_levels": "6"},
+                {"rate_eps": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig(j_levels=9)
     assert cfg.cis.j_levels == 9
 

@@ -189,6 +189,12 @@ def test_train_config_validation():
         TrainConfig(lr=1e-3, lr_final=2e-3)
     with pytest.raises(ValueError):
         TrainConfig(lr_final=-1e-6)
+    for bad in ({"epochs": 2.5}, {"batch": True}, {"lr": None}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    for bad in ({"count": True}, {"block_n": 2624.0}, {"rate": "0.9"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            GenConfig(**bad)
 
 
 def test_train_lr_decay():

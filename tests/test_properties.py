@@ -1,4 +1,5 @@
-"""Properties of the one numerical core over random conditions and thresholds.
+"""Properties of the one numerical core over random conditions and thresholds,
+and of the CLI's config parser over random JSON values.
 
 The transition matrix, the page channels and the LLR tables are built
 from the same batch routines the threshold search runs; these checks
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flashopt.channel import Condition, state_models
+from flashopt.cli import FIELDS
 from flashopt.fbl import info_iu, info_variance, mutual_information
 from flashopt.quantizer import (L_MAX, PAGE_STATES, ThresholdSet, input_tails,
                                 llr_table, page_subchannel, region_masses,
@@ -55,3 +57,32 @@ def test_llr_table_finite_and_clamped(cond, d):
     assert llr.shape == (d.j_levels + 1, 2)
     assert np.all(np.isfinite(llr))
     assert np.all(np.abs(llr) <= L_MAX)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["7", "-2.5e3", "0,100", "2k-qc,4k-qc", "cis", "mmi", "dnn"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=4),
+    max_leaves=8)
+
+
+def _of_kind(field, value) -> bool:
+    return (isinstance(value, field.kind) and not isinstance(value, bool)
+            and (not field.choices or value in field.choices))
+
+
+@cases
+@given(st.sampled_from(sorted(FIELDS)), json_values)
+def test_config_values_parse_to_their_kind_or_name_the_key(key, value):
+    field = FIELDS[key]
+    try:
+        parsed = field.parse(value)
+    except ValueError as exc:
+        assert key in str(exc)
+        return
+    if field.many:
+        assert isinstance(parsed, tuple)
+        assert all(_of_kind(field, v) for v in parsed)
+    else:
+        assert _of_kind(field, parsed)
