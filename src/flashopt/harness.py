@@ -65,6 +65,9 @@ class ExperimentConfig:
         check_numbers(self, ("rate_eps",))
         if self.source not in SOURCES:
             raise ValueError(f"unknown threshold source {self.source!r}")
+        for name in (self.code, *self.code_list):
+            if name not in PRESETS:
+                raise ValueError(f"unknown code {name!r}; presets are {', '.join(PRESETS)}")
         if self.frames < 1 or self.i_max < 1 or self.max_frame_errors < 1:
             raise ValueError("frames, i_max, and max_frame_errors must be positive")
         if not self.pe_list or not self.t_list:

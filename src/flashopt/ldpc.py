@@ -17,13 +17,14 @@ LLR sign convention matches the quantizer tables: positive favors bit 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 MAX_BUILD_TRIES = 20
 RATE_TOL = 0.005
 _ATANH_LIM = 1.0 - 1e-15
+_BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1) & 1
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ class LdpcCode:
     rank: int
     pivot_cols: np.ndarray  # parity positions
     free_cols: np.ndarray   # systematic (info) positions
-    parity_map: np.ndarray  # rank x info_len over GF(2)
+    parity_map: np.ndarray  # rank x info_len over GF(2), rows packed 8 bits a byte
 
     @property
     def n(self) -> int:
@@ -285,12 +286,6 @@ class LdpcCode:
     def measured_rate(self) -> float:
         return self.info_len / self.n
 
-    @cached_property
-    def _parity_map_f(self) -> np.ndarray:
-        # float copy so encoding rides BLAS; row sums stay exactly
-        # representable (they never exceed the code length).
-        return self.parity_map.astype(np.float64)
-
 
 def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode:
     """Attach encoder tables to an arbitrary parity matrix."""
@@ -301,7 +296,7 @@ def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode
     mask = np.ones(pm.n_cols, dtype=bool)
     mask[pivot_cols] = False
     free_cols = np.nonzero(mask)[0]
-    parity_map = work[:rank][:, free_cols].copy()
+    parity_map = np.packbits(work[:rank][:, free_cols], axis=1)
     if spec is None:
         spec = CodeSpec(name="custom", n=pm.n_cols,
                         rate=free_cols.size / pm.n_cols,
@@ -342,8 +337,10 @@ def encode(code: LdpcCode, info) -> np.ndarray:
     info = info.astype(np.int64) & 1
     c = np.zeros(code.n, dtype=np.uint8)
     c[code.free_cols] = info
-    sums = code._parity_map_f @ info.astype(np.float64)
-    c[code.pivot_cols] = np.rint(sums).astype(np.int64) & 1
+    # parity bit = GF(2) dot product: XOR the bytes of (row AND info),
+    # then look up the parity of the byte that remains
+    row_bytes = code.parity_map & np.packbits(info)
+    c[code.pivot_cols] = _BYTE_PARITY[np.bitwise_xor.reduce(row_bytes, axis=1)]
     return c
 
 

@@ -127,13 +127,15 @@ class Sample:
         object.__setattr__(self, "label", tuple(float(v) for v in y))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z, e=None):
+    """Logistic function of z, in place: exp(min(z, 0)) / (1 + e) with
+    e = exp(-|z|), that is 1/(1+e) for z >= 0 and e/(1+e) below, so that
+    neither branch overflows.  ``e`` is scratch of z's shape."""
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    e += 1.0
+    z = np.exp(np.minimum(z, 0.0, out=z), out=z)
+    z /= e
+    return z
 
 
 def xavier_model(dims, seed: int = 0, scale: float = THRESHOLD_SCALE) -> MlpModel:
@@ -147,11 +149,29 @@ def xavier_model(dims, seed: int = 0, scale: float = THRESHOLD_SCALE) -> MlpMode
     return MlpModel(dims=tuple(dims), weights=weights, biases=biases, scale=scale)
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray):
-    """All layer activations for a batch; x has shape (B, n_inputs)."""
-    acts = [(x - model.x_shift) / model.x_scale]
-    for w, b in zip(model.weights, model.biases):
-        acts.append(_sigmoid(acts[-1] @ w + b))
+class _Buffers:
+    """Arrays a pass over up to ``rows`` rows writes into (a shorter batch
+    uses the leading rows): per layer the activations, standardized input
+    first, and a scratch (sigmoid, then deltas); squared errors; gradients."""
+
+    def __init__(self, model: MlpModel, rows: int):
+        self.acts = [np.empty((rows, n)) for n in model.dims]
+        self.tmp = [np.empty((rows, n)) for n in model.dims[1:]]
+        self.sq = np.empty((rows, model.dims[-1]))
+        self.gw = [np.empty_like(w) for w in model.weights]
+        self.gb = [np.empty_like(b) for b in model.biases]
+
+
+def _forward_pass(model: MlpModel, x: np.ndarray, buf=None):
+    """All layer activations for a batch x (B, n_inputs), in ``buf``'s first B rows."""
+    rows = len(x)
+    buf = buf or _Buffers(model, rows)
+    acts = [a[:rows] for a in buf.acts]
+    np.divide(np.subtract(x, model.x_shift, out=acts[0]), model.x_scale, out=acts[0])
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(acts[i], w, out=acts[i + 1])
+        z += b
+        _sigmoid(z, buf.tmp[i][:rows])
     return acts
 
 
@@ -178,23 +198,27 @@ def backprop(model: MlpModel, x: np.ndarray, y: np.ndarray):
     return _backprop(model, x, (y - model.y_shift) / model.y_scale, model.y_scale ** 2)
 
 
-def _backprop(model: MlpModel, x: np.ndarray, target: np.ndarray, weight):
+def _backprop(model: MlpModel, x: np.ndarray, target: np.ndarray, weight, buf=None):
     """Loss mean(weight * (target - a)^2) over the last layer's activations a,
-    and its parameter gradients."""
-    acts = _forward_pass(model, x)
-    diff = acts[-1] - target
-    loss = float(np.mean(weight * diff * diff))
+    and its parameter gradients, written into ``buf`` (fresh when None)."""
+    rows = len(x)
+    buf = buf or _Buffers(model, rows)
+    acts = _forward_pass(model, x, buf)
+    delta = np.subtract(acts[-1], target, out=buf.tmp[-1][:rows])
+    sq = np.multiply(delta, weight, out=buf.sq[:rows])
+    sq *= delta
+    loss = float(np.mean(sq))
     # d loss / d a for loss taken as mean over batch and outputs
-    delta = (2.0 / diff.size) * weight * diff
-    grads_w, grads_b = [], []
+    delta *= (2.0 / delta.size) * weight
     for layer in range(len(model.weights) - 1, -1, -1):
-        a_out = acts[layer + 1]
-        delta = delta * a_out * (1.0 - a_out)
-        grads_w.append(acts[layer].T @ delta)
-        grads_b.append(delta.sum(axis=0))
+        a_out = acts[layer + 1]  # not read again, so 1 - a_out may replace it
+        delta *= a_out
+        delta *= np.subtract(1.0, a_out, out=a_out)
+        np.matmul(acts[layer].T, delta, out=buf.gw[layer])
+        delta.sum(axis=0, out=buf.gb[layer])
         if layer:
-            delta = delta @ model.weights[layer].T
-    return loss, grads_w[::-1], grads_b[::-1]
+            delta = np.matmul(delta, model.weights[layer].T, out=buf.tmp[layer - 1][:rows])
+    return loss, buf.gw, buf.gb
 
 
 def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
@@ -203,7 +227,8 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
 
     Each output's labels are mapped affinely onto [0.1, 0.9] (a constant
     output onto 0.5), and the loss is the mean squared error of those
-    scaled targets.
+    scaled targets.  A step allocates no arrays: it writes into buffers made
+    once per call and into the Adam ``state`` (see adam_step_inplace).
     """
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
@@ -220,6 +245,8 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
     model.y_shift = np.where(span > 0.0, y_lo - 0.1 * model.y_scale, y_lo - 0.5)
     target = (y - model.y_shift) / model.y_scale
     rng = np.random.default_rng((seed, 1))
+    buf = _Buffers(model, min(cfg.batch, len(dataset)))
+    xb, tb = np.empty_like(x[:cfg.batch]), np.empty_like(target[:cfg.batch])
     state = {}
     total = cfg.epochs * ((len(dataset) + cfg.batch - 1) // cfg.batch)
     losses = []
@@ -228,7 +255,10 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
         epoch_losses = []
         for lo in range(0, len(dataset), cfg.batch):
             sel = order[lo:lo + cfg.batch]
-            loss, gw, gb = _backprop(model, x[sel], target[sel], 1.0)
+            # sel never leaves range; "clip" lets take write out without a copy
+            xs = np.take(x, sel, axis=0, out=xb[:sel.size], mode="clip")
+            ts = np.take(target, sel, axis=0, out=tb[:sel.size], mode="clip")
+            loss, gw, gb = _backprop(model, xs, ts, 1.0, buf)
             epoch_losses.append(loss)
             if cfg.lr_final > 0.0:
                 frac = 0.5 * (1.0 + np.cos(np.pi * state.get("step", 0) / total))
@@ -242,27 +272,29 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
 
 def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig,
                       lr: float):
-    """One Adam update of the model's parameters at learning rate ``lr``;
-    the moment estimates and step count live in the ``state`` dict, which
-    starts empty and is mutated."""
+    """One Adam update of the model's parameters at learning rate ``lr``.
+
+    ``state`` starts empty and is mutated: it holds the step count and, per
+    parameter array (weights, then biases), the moments ``m``, ``v`` and two
+    scratch arrays ``s``, ``r``, so an update allocates no arrays.  The
+    operations follow ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in its
+    evaluation order on purpose: another order changes the weights' last bits.
+    """
+    params = [*model.weights, *model.biases]
     if not state:
-        state.update(step=0,
-                     m_w=[np.zeros_like(w) for w in model.weights],
-                     v_w=[np.zeros_like(w) for w in model.weights],
-                     m_b=[np.zeros_like(b) for b in model.biases],
-                     v_b=[np.zeros_like(b) for b in model.biases])
+        state.update({k: [np.zeros_like(p) for p in params] for k in "mvsr"}, step=0)
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
-    for i in range(len(model.weights)):
-        for m, v, g, p in ((state["m_w"][i], state["v_w"][i], grads_w[i], model.weights[i]),
-                           (state["m_b"][i], state["v_b"][i], grads_b[i], model.biases[i])):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    for p, g, m, v, s, r in zip(params, [*grads_w, *grads_b], *(state[k] for k in "mvsr")):
+        m *= cfg.beta1
+        m += np.multiply(1.0 - cfg.beta1, g, out=s)
+        v *= cfg.beta2
+        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=s), g, out=s)
+        np.multiply(lr, np.divide(m, c1, out=s), out=s)
+        np.add(np.sqrt(np.divide(v, c2, out=r), out=r), cfg.adam_eps, out=r)
+        p -= np.divide(s, r, out=s)
 
 
 # -- features and data generation --------------------------------------------

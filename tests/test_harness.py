@@ -107,6 +107,9 @@ def test_experiment_config_validation():
                 {"rate_eps": None}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentConfig(**bad)
+    for bad in ({"code": "5k"}, {"code_list": ("2k-qc", "5k")}):
+        with pytest.raises(ValueError, match="unknown code '5k'"):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig(j_levels=9)
     assert cfg.cis.j_levels == 9
 

@@ -233,6 +233,91 @@ def test_train_steps_through_adam_step_inplace(monkeypatch):
         assert lr == pytest.approx(1e-3 + 9e-3 * frac, rel=1e-12)
 
 
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    edge = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 1e308, np.inf])
+    z = np.concatenate([edge, -edge, np.random.default_rng(0).normal(0.0, 10.0, 10_000)])
+    # exp(-709) and below are subnormal or 0, which sets the underflow flag
+    # in either form; overflow, division and invalid operations must not occur
+    with np.errstate(all="raise", under="ignore"):
+        got = mlp._sigmoid(z.copy())
+        expect = _two_branch_sigmoid(z)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def _reference_train(samples, cfg, seed):
+    """train() as a plain allocating loop: the two-branch sigmoid, one
+    temporary per operation, and Adam written as its textbook formula."""
+    x = np.array([s.features for s in samples])
+    y = np.array([s.label for s in samples])
+    model = xavier_model((x.shape[1], *mlp.DEFAULT_HIDDEN, y.shape[1]), seed=seed)
+    x_shift, sd = x.mean(axis=0), x.std(axis=0)
+    x_scale = np.where(sd > 0.0, sd, 1.0)
+    y_lo, span = y.min(axis=0), np.ptp(y, axis=0)
+    y_scale = np.where(span > 0.0, span / 0.8, 1.0)
+    y_shift = np.where(span > 0.0, y_lo - 0.1 * y_scale, y_lo - 0.5)
+    target = (y - y_shift) / y_scale
+    params = [p for wb in zip(model.weights, model.biases) for p in wb]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng((seed, 1))
+    total = cfg.epochs * -(-len(samples) // cfg.batch)
+    step, losses = 0, []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(samples))
+        epoch_losses = []
+        for lo in range(0, len(samples), cfg.batch):
+            sel = order[lo:lo + cfg.batch]
+            acts = [(x[sel] - x_shift) / x_scale]
+            for w, b in zip(model.weights, model.biases):
+                acts.append(_two_branch_sigmoid(acts[-1] @ w + b))
+            diff = acts[-1] - target[sel]
+            epoch_losses.append(float(np.mean(1.0 * diff * diff)))
+            delta = (2.0 / diff.size) * 1.0 * diff
+            grads = []
+            for layer in range(len(model.weights) - 1, -1, -1):
+                a_out = acts[layer + 1]
+                delta = delta * a_out * (1.0 - a_out)
+                grads[:0] = [acts[layer].T @ delta, delta.sum(axis=0)]
+                if layer:
+                    delta = delta @ model.weights[layer].T
+            frac = 0.5 * (1.0 + np.cos(np.pi * step / total))
+            lr = cfg.lr_final + (cfg.lr - cfg.lr_final) * frac
+            step += 1
+            c1, c2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= cfg.beta1
+                mi += (1.0 - cfg.beta1) * g
+                vi *= cfg.beta2
+                vi += (1.0 - cfg.beta2) * g * g
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + cfg.adam_eps)
+        losses.append(float(np.mean(epoch_losses)))
+    return model, losses
+
+
+def test_train_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.1, 1.0, (130, 7))
+    x /= x.sum(axis=1, keepdims=True)
+    y = np.sort(rng.uniform(0.05, 0.95, (130, 6)), axis=1)
+    samples = [Sample(tuple(xi), tuple(yi)) for xi, yi in zip(x, y)]
+    # batches of 50, 50 and 30 for 17 epochs: 51 steps under cosine decay
+    cfg = TrainConfig(lr=1e-3, epochs=17, batch=50, lr_final=1e-4)
+    model, losses = train(samples, cfg, seed=2)
+    ref, ref_losses = _reference_train(samples, cfg, seed=2)
+    assert losses == ref_losses
+    for got, expect in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert np.array_equal(got, expect)
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         Sample((0.5, 0.4, 0.2), (0.1, 0.2))          # features sum != 1

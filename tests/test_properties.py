@@ -1,10 +1,14 @@
 """Properties of the one numerical core over random conditions and thresholds,
-and of the CLI's config parser over random JSON values.
+of the CLI's config parser over random JSON values, and of the model and
+dataset file formats and the encoder over random contents.
 
 The transition matrix, the page channels and the LLR tables are built
 from the same batch routines the threshold search runs; these checks
 hold for any operating point and any valid threshold set.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from hypothesis import given, settings, strategies as st
 from flashopt.channel import Condition, state_models
 from flashopt.cli import FIELDS
 from flashopt.fbl import info_iu, info_variance, mutual_information
+from flashopt.ldpc import build_code, encode, syndrome
+from flashopt.mlp import (MlpModel, Sample, load_dataset, load_model,
+                          save_dataset, save_model)
 from flashopt.quantizer import (L_MAX, PAGE_STATES, ThresholdSet, input_tails,
                                 llr_table, page_subchannel, region_masses,
                                 transition_matrix)
@@ -86,3 +93,78 @@ def test_config_values_parse_to_their_kind_or_name_the_key(key, value):
         assert all(_of_kind(field, v) for v in parsed)
     else:
         assert _of_kind(field, parsed)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def models(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+
+    def arr(shape, elements=finite):
+        return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    return MlpModel(dims=dims, scale=draw(finite),
+                    weights=[arr((a, b)) for a, b in zip(dims[:-1], dims[1:])],
+                    biases=[arr((b,)) for b in dims[1:]],
+                    x_shift=arr((dims[0],)), x_scale=arr((dims[0],), positive),
+                    y_shift=arr((dims[-1],)), y_scale=arr((dims[-1],), positive))
+
+
+def _arrays(model):
+    return [model.x_shift, model.x_scale, model.y_shift, model.y_scale,
+            *model.weights, *model.biases]
+
+
+@cases
+@given(models(), st.data())
+def test_model_file_roundtrips_and_rejects_truncation(model, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.dims == model.dims
+        assert np.float64(back.scale).tobytes() == np.float64(model.scale).tobytes()
+        for a, b in zip(_arrays(back), _arrays(model)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        blob = path.read_bytes()
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
+        with pytest.raises(ValueError):
+            load_model(path)
+
+
+@st.composite
+def datasets(draw):
+    n_features = draw(st.integers(1, 8))
+    n_labels = draw(st.integers(1, 6))
+    samples = []
+    for _ in range(draw(st.integers(1, 5))):
+        f = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n_features,
+                                   max_size=n_features)))
+        label = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                              min_size=n_labels, max_size=n_labels, unique=True))
+        samples.append(Sample(tuple(f / f.sum()), tuple(sorted(label))))
+    return n_features, samples
+
+
+@cases
+@given(datasets())
+def test_dataset_file_roundtrips_exactly(case):
+    n_features, samples = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset(samples, path)
+        assert load_dataset(path, n_features) == samples
+
+
+@cases
+@given(st.binary(min_size=(2624 + 7) // 8, max_size=(2624 + 7) // 8))
+def test_encoded_words_satisfy_every_check(raw):
+    code = build_code("2k-qc")
+    info = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:code.info_len]
+    word = encode(code, info)
+    assert np.array_equal(word[code.free_cols], info)
+    assert not syndrome(code, word).any()
