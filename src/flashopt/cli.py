@@ -162,11 +162,12 @@ def _settings(args):
     return settings, _pop_params(settings), _pop_cis(settings)
 
 
-def _print_rows(rows, columns) -> None:
-    print(",".join(columns))
+def _print_rows(rows) -> None:
+    """Row dicts to stdout; their keys are the header."""
+    print(",".join(rows[0]))
     for row in rows:
-        print(",".join(f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c])
-                       for c in columns))
+        print(",".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                       for v in row.values()))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -196,22 +197,18 @@ def _experiment_config(args, **defaults) -> ExperimentConfig:
 
 
 def _cmd_fer(args) -> int:
-    rows = run_fer(_experiment_config(args))
-    _print_rows(rows, ["source", "code", "n_pe", "t_ret", "frames", "errors", "fer"])
+    _print_rows(run_fer(_experiment_config(args)))
     return 0
 
 
 def _cmd_ccr(args) -> int:
-    rows = run_ccr(_experiment_config(args))
-    _print_rows(rows, ["code", "j_levels", "n_pe", "t_ret", "n", "rate"])
+    _print_rows(run_ccr(_experiment_config(args)))
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     results = run_pipeline(_experiment_config(args, source="cis-t0"))
-    _print_rows([{"n_pe": c.n_pe, "t_ret": c.t_ret, **vars(st)} for c, st in results],
-                ["n_pe", "t_ret", "frames", "first_pass_failures", "dnn_invocations",
-                 "bad_blocks"])
+    _print_rows([stats.row(cond) for cond, stats in results])
     return 0
 
 

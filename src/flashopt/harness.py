@@ -9,6 +9,10 @@ Three entry points, each sweeping a grid of wear/retention conditions:
 * run_pipeline: read-retry controller simulation; failed first reads
   trigger a network re-estimate of the thresholds and one retry.
 
+run_fer and run_pipeline share one per-point set-up (condition,
+reference quantizer, thresholds, LLR table); only their frame loops
+differ.  Sweep rows are dicts whose keys are the CSV header.
+
 All randomness is keyed by (seed, point, frame) so any row of a sweep
 can be reproduced in isolation and runs are byte-identical across
 machines.  Output CSVs carry no timestamps for the same reason.
@@ -101,6 +105,10 @@ class PipelineStats:
     def final_fer(self) -> float:
         return self.bad_blocks / self.frames
 
+    def row(self, cond: Condition) -> dict:
+        """The condition and the tallies, keyed by column name."""
+        return {"n_pe": cond.n_pe, "t_ret": cond.t_ret, **vars(self)}
+
 
 def cp_interval(errors: int, trials: int, conf: float = 0.95):
     """Clopper-Pearson binomial confidence interval for an error count."""
@@ -118,6 +126,12 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+
+
+def _write_table(path, rows) -> None:
+    """A sweep's row dicts to ``path``, if set; their keys are the header."""
+    if path:
+        _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def _repair_increasing(values: np.ndarray) -> np.ndarray:
@@ -145,24 +159,25 @@ def _zero_retention(cfg: ExperimentConfig, n_pe: float, n: int,
 
 
 def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: float,
-                       model: MlpModel | None = None,
-                       features=None) -> ThresholdSet:
+                       model: MlpModel | None = None, features=None,
+                       ref: ThresholdSet | None = None) -> ThresholdSet:
     """Thresholds for one sweep point according to cfg.source.
 
     The "hard" source always yields the three pairwise-crossing levels
-    regardless of cfg.j_levels.  The "dnn" source featurizes `features`
-    (readback voltages are not available here, so callers supply the
-    histogram) through `model`.
+    regardless of cfg.j_levels.  "cis-t0" returns ``ref``, the wear
+    level's zero-retention thresholds, and searches for them only when
+    none is passed.  The "dnn" source featurizes `features` (readback
+    voltages are not available here, so callers supply the histogram)
+    through `model`.
     """
-    models = state_models(cond, cfg.params)
     if cfg.source == "hard":
-        return ThresholdSet(tuple(hard_thresholds(models)))
+        return ThresholdSet(tuple(hard_thresholds(state_models(cond, cfg.params))))
     if cfg.source == "mmi":
         return mmi_optimize(cond, cfg.params, cfg.cis, seed=cfg.seed)
     if cfg.source == "cis":
         return cis_optimize(cond, cfg.params, n, rate, cfg.cis, seed=cfg.seed)[0]
     if cfg.source == "cis-t0":
-        return _zero_retention(cfg, cond.n_pe, n, rate)
+        return ref if ref is not None else _zero_retention(cfg, cond.n_pe, n, rate)
     if cfg.source == "file":
         if cfg.thresholds_file is None:
             raise ValueError("source 'file' needs thresholds_file")
@@ -175,46 +190,45 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
 
 
 def _load_model_if_needed(cfg: ExperimentConfig, model):
-    if model is not None:
-        return model
-    if cfg.model_file is not None:
+    if model is None and cfg.model_file is not None:
         return load_model(cfg.model_file)
-    return None
+    return model
 
 
-def _frame_rng(cfg: ExperimentConfig, point: int, frame: int):
-    # Tagged streams: any frame of any sweep point reproduces in isolation.
-    return np.random.default_rng((cfg.seed, 1, point, frame))
-
-
-def _pilot_rng(cfg: ExperimentConfig, point: int):
-    return np.random.default_rng((cfg.seed, 2, point))
-
-
-def _point_thresholds(cfg: ExperimentConfig, cond: Condition, point: int, spec,
-                      ref: ThresholdSet | None, model) -> ThresholdSet:
-    """Thresholds a sweep point starts from: the zero-retention reference
-    ``ref`` itself for "cis-t0", and for "dnn" the network's reading of one
+def _points(cfg: ExperimentConfig, spec, model, need_ref: bool):
+    """Yield (point, condition, ref, state models, thresholds, LLR table)
+    in point order.  ``ref``, the wear level's zero-retention thresholds,
+    is searched once per wear level if needed, else None.  "dnn" reads one
     pilot block at the true condition, histogrammed against ``ref``."""
-    if cfg.source == "cis-t0":
-        return ref
-    features = None
-    if cfg.source == "dnn":
-        pilot = _pilot_rng(cfg, point)
-        states = pilot.integers(0, 4, size=spec.n)
-        volts = sample_wordline(states, cond, cfg.params, pilot)
-        features = histogram_features(volts, ref)
-    return resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features)
+    need_ref = need_ref or cfg.source in ("cis-t0", "dnn")
+    point = 0
+    for n_pe in cfg.pe_list:
+        ref = _zero_retention(cfg, n_pe, spec.n, spec.rate) if need_ref else None
+        for t_ret in cfg.t_list:
+            cond = Condition(n_pe, t_ret)
+            features = None
+            if cfg.source == "dnn":
+                pilot = np.random.default_rng((cfg.seed, 2, point))
+                states = pilot.integers(0, 4, size=spec.n)
+                features = histogram_features(
+                    sample_wordline(states, cond, cfg.params, pilot), ref)
+            d = resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features, ref)
+            models = state_models(cond, cfg.params)
+            yield point, cond, ref, models, d, llr_table(models, d)
+            point += 1
 
 
-def _simulate_block(code: LdpcCode, cond: Condition, params: FlashParams, rng):
+def _simulate_block(code: LdpcCode, cfg: ExperimentConfig, cond: Condition,
+                    point: int, frame: int):
     """Encode two fresh pages, program, and read back cell voltages."""
+    # Tagged streams: any frame of any sweep point reproduces in isolation.
+    rng = np.random.default_rng((cfg.seed, 1, point, frame))
     info_m = rng.integers(0, 2, size=code.info_len, dtype=np.uint8)
     info_l = rng.integers(0, 2, size=code.info_len, dtype=np.uint8)
     code_m = encode(code, info_m)
     code_l = encode(code, info_l)
     states = gray_state(code_m, code_l)
-    volts = sample_wordline(states, cond, params, rng)
+    volts = sample_wordline(states, cond, cfg.params, rng)
     return code_m, code_l, volts
 
 
@@ -242,38 +256,20 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     """
     code = build_code(cfg.code, seed=cfg.code_seed)
     model = _load_model_if_needed(cfg, model)
-    spec = code.spec
     rows = []
-    point = 0
-    for n_pe in cfg.pe_list:
-        ref = None
-        if cfg.source in ("dnn", "cis-t0"):
-            ref = _zero_retention(cfg, n_pe, spec.n, spec.rate)
-        for t_ret in cfg.t_list:
-            cond = Condition(n_pe, t_ret)
-            d = _point_thresholds(cfg, cond, point, spec, ref, model)
-            table = llr_table(state_models(cond, cfg.params), d)
-            errors = 0
-            frames_run = 0
-            for frame in range(cfg.frames):
-                rng = _frame_rng(cfg, point, frame)
-                code_m, code_l, volts = _simulate_block(code, cond, cfg.params, rng)
-                ok = _decode_block(code, volts, d, table, code_m, code_l, cfg.i_max)
-                frames_run += 1
-                if not ok:
-                    errors += 1
-                    if errors >= cfg.max_frame_errors:
-                        break
-            rows.append({"source": cfg.source, "code": cfg.code,
-                         "n_pe": float(n_pe), "t_ret": float(t_ret),
-                         "frames": frames_run, "errors": errors,
-                         "fer": errors / frames_run})
-            point += 1
-    if cfg.out:
-        _write_csv(cfg.out,
-                   ["source", "code", "n_pe", "t_ret", "frames", "errors", "fer"],
-                   [(r["source"], r["code"], r["n_pe"], r["t_ret"],
-                     r["frames"], r["errors"], r["fer"]) for r in rows])
+    for point, cond, _, _, d, table in _points(cfg, code.spec, model, need_ref=False):
+        errors = 0
+        for frame in range(cfg.frames):
+            code_m, code_l, volts = _simulate_block(code, cfg, cond, point, frame)
+            if not _decode_block(code, volts, d, table, code_m, code_l, cfg.i_max):
+                errors += 1
+                if errors >= cfg.max_frame_errors:
+                    break
+        rows.append({"source": cfg.source, "code": cfg.code,
+                     "n_pe": float(cond.n_pe), "t_ret": float(cond.t_ret),
+                     "frames": frame + 1, "errors": errors,
+                     "fer": errors / (frame + 1)})
+    _write_table(cfg.out, rows)
     return rows
 
 
@@ -309,10 +305,7 @@ def run_ccr(cfg: ExperimentConfig):
                     rows.append({"code": code_name, "j_levels": j,
                                  "n_pe": float(n_pe), "t_ret": float(t_ret),
                                  "n": spec.n, "rate": np.mean(rates)})
-    if cfg.out:
-        _write_csv(cfg.out, ["code", "j_levels", "n_pe", "t_ret", "n", "rate"],
-                   [(r["code"], r["j_levels"], r["n_pe"], r["t_ret"],
-                     r["n"], float(r["rate"])) for r in rows])
+    _write_table(cfg.out, rows)
     return rows
 
 
@@ -336,48 +329,31 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
     model = _load_model_if_needed(cfg, model)
     if model is None:
         raise ValueError("run_pipeline needs a model (model or cfg.model_file)")
-    spec = code.spec
-    models_cache: dict = {}
     results = []
-    point = 0
-    for n_pe in cfg.pe_list:
-        ref = _zero_retention(cfg, n_pe, spec.n, spec.rate)
-        for t_ret in cfg.t_list:
-            cond = Condition(n_pe, t_ret)
-            cond_models = models_cache.setdefault(cond, state_models(cond, cfg.params))
-            current = _point_thresholds(cfg, cond, point, spec, ref, model)
-            table = llr_table(cond_models, current)
-            first_fail = 0
-            invocations = 0
-            bad = 0
-            last_feats = None
-            for frame in range(cfg.frames):
-                if (cfg.refresh_interval and frame and last_feats is not None
-                        and frame % cfg.refresh_interval == 0):
-                    invocations += 1
-                    current = predict_thresholds(model, last_feats)
-                    table = llr_table(cond_models, current)
-                rng = _frame_rng(cfg, point, frame)
-                code_m, code_l, volts = _simulate_block(code, cond, cfg.params, rng)
-                last_feats = histogram_features(volts, ref)
-                if _decode_block(code, volts, current, table, code_m, code_l, cfg.i_max):
-                    continue
-                first_fail += 1
+    for point, cond, ref, models, current, table in _points(cfg, code.spec, model,
+                                                            need_ref=True):
+        first_fail = 0
+        invocations = 0
+        bad = 0
+        for frame in range(cfg.frames):
+            if cfg.refresh_interval and frame and frame % cfg.refresh_interval == 0:
                 invocations += 1
-                retry = predict_thresholds(model, last_feats)
-                retry_table = llr_table(cond_models, retry)
-                if not _decode_block(code, volts, retry, retry_table,
-                                     code_m, code_l, cfg.i_max):
-                    bad += 1
-            stats_row = PipelineStats(frames=cfg.frames, first_pass_failures=first_fail,
-                                      dnn_invocations=invocations, bad_blocks=bad)
-            results.append((cond, stats_row))
-            point += 1
-    if cfg.out:
-        _write_csv(cfg.out,
-                   ["n_pe", "t_ret", "frames", "first_pass_failures",
-                    "dnn_invocations", "bad_blocks", "first_pass_fer", "final_fer"],
-                   [(c.n_pe, c.t_ret, s.frames, s.first_pass_failures,
-                     s.dnn_invocations, s.bad_blocks, s.first_pass_fer, s.final_fer)
-                    for c, s in results])
+                current = predict_thresholds(model, feats)
+                table = llr_table(models, current)
+            code_m, code_l, volts = _simulate_block(code, cfg, cond, point, frame)
+            feats = histogram_features(volts, ref)
+            if _decode_block(code, volts, current, table, code_m, code_l, cfg.i_max):
+                continue
+            first_fail += 1
+            invocations += 1
+            retry = predict_thresholds(model, feats)
+            if not _decode_block(code, volts, retry, llr_table(models, retry),
+                                 code_m, code_l, cfg.i_max):
+                bad += 1
+        results.append((cond, PipelineStats(frames=cfg.frames,
+                                            first_pass_failures=first_fail,
+                                            dnn_invocations=invocations,
+                                            bad_blocks=bad)))
+    _write_table(cfg.out, [{**stats.row(cond), "first_pass_fer": stats.first_pass_fer,
+                            "final_fer": stats.final_fer} for cond, stats in results])
     return results

@@ -414,6 +414,8 @@ def load_model(path) -> MlpModel:
         for nin, nout in zip(dims[:-1], dims[1:]):
             weights.append(floats(nin * nout).reshape(nin, nout))
             biases.append(floats(nout))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing data")
     return MlpModel(dims=dims, weights=weights, biases=biases, scale=scale,
                     x_shift=x_shift, x_scale=x_scale, y_shift=y_shift,
                     y_scale=y_scale)
@@ -428,15 +430,22 @@ def save_dataset(samples, path) -> None:
 
 
 def load_dataset(path, n_features: int):
-    samples = []
+    """Rows written by save_dataset; a bad row is reported as path:line."""
+    samples, width = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(tok) for tok in line.split(",")]
-            if len(vals) <= n_features:
-                raise ValueError(f"{path}:{ln}: expected features plus labels")
-            samples.append(Sample(features=tuple(vals[:n_features]),
-                                  label=tuple(vals[n_features:])))
+            try:
+                vals = [float(tok) for tok in line.split(",")]
+                if len(vals) <= n_features:
+                    raise ValueError("expected features plus labels")
+                width = width or len(vals)
+                if len(vals) != width:
+                    raise ValueError(f"{len(vals)} values, but the first row has {width}")
+                samples.append(Sample(features=tuple(vals[:n_features]),
+                                      label=tuple(vals[n_features:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
     return samples

@@ -29,7 +29,7 @@ L_MAX = 30.0  # LLR clamp, natural-log units
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Ordered read thresholds d_1 < ... < d_J, all positive."""
+    """Ordered read thresholds d_1 < ... < d_J, all positive and finite."""
 
     d: tuple
 
@@ -37,6 +37,8 @@ class ThresholdSet:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("thresholds must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"thresholds must be finite, got {tuple(d.tolist())}")
         if d[0] <= 0:
             raise ValueError("first threshold must be positive")
         if not np.all(np.diff(d) > 0):
@@ -52,27 +54,17 @@ class ThresholdSet:
 
     @classmethod
     def from_file(cls, path) -> "ThresholdSet":
-        return cls(tuple(_read_floats(path)))
+        """One value per line; blank lines and ``#`` comments are skipped."""
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.split("#", 1)[0].strip() for line in fh]
+        try:
+            return cls(tuple(float(line) for line in lines if line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
-        _write_floats(path, self.d)
-
-
-def _read_floats(path):
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            values.append(float(line))
-    return values
-
-
-def _write_floats(path, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in values:
-            fh.write(f"{v:.17g}\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{v:.17g}\n" for v in self.d)
 
 
 # Gray mapping of the four states to (msb, lsb): 11, 10, 00, 01, so that
@@ -135,17 +127,6 @@ class LlrTable:
         if not np.all(np.isfinite(llr)):
             raise ValueError("llr table must be finite after clamping")
         object.__setattr__(self, "llr", llr)
-
-    @classmethod
-    def from_file(cls, path) -> "LlrTable":
-        flat = np.asarray(_read_floats(path), dtype=float)
-        if flat.size % 2:
-            raise ValueError(f"{path}: expected an even number of values")
-        return cls(flat.reshape(-1, 2))
-
-    def to_file(self, path) -> None:
-        # Row-major: region 0 MSB, region 0 LSB, region 1 MSB, ...
-        _write_floats(path, self.llr.reshape(-1))
 
 
 def _gaussian_crossing(a: StateModel, b: StateModel) -> float:

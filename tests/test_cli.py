@@ -89,6 +89,30 @@ def test_fer_tiny_run_and_csv(tmp_path, capsys):
     assert len(body) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["fer", "--source", "hard", "--pe-list", "15000", "--t-list", "10", "--frames", "2"],
+    ["ccr", "--pe-list", "8000", "--t-list", "0", "--j-list", "3"],
+])
+def test_stdout_header_matches_csv_header(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    csv_lines = out.read_text().splitlines()
+    assert stdout[0] == csv_lines[0]
+    assert len(stdout) == len(csv_lines) == 2
+
+
+def test_non_finite_thresholds_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    for text in ("1.0\n2.0\ninf\n", "nan\n"):
+        path.write_text(text)
+        rc = main(["fer", "--source", "file", "--thresholds-file", str(path),
+                   "--pe-list", "15000", "--t-list", "0", "--frames", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(path) in err and "finite" in err
+
+
 def test_config_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"source": "hard", "pe_list": "15000",

@@ -247,6 +247,20 @@ def test_cis_t0_searches_once_per_wear_level(monkeypatch):
     assert [r["frames"] for r in rows] == [2, 2]
 
 
+@pytest.mark.parametrize("source", ["cis-t0", "dnn"])
+def test_fer_and_pipeline_read_the_same_blocks(source):
+    # Without early stop or refresh, a pipeline's first reads are the fer
+    # sweep's reads: same blocks, same starting thresholds.
+    d, _ = cis_optimize(Condition(4000.0, 3000.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    model = constant_model(d)
+    cfg = ExperimentConfig(source=source, pe_list=(4000.0,), t_list=(100.0, 1e5),
+                           frames=12, max_frame_errors=12, refresh_interval=0, seed=5)
+    errors = [row["errors"] for row in run_fer(cfg, model=model)]
+    first = [stats.first_pass_failures for _, stats in run_pipeline(cfg, model=model)]
+    assert first == errors
+    assert 0 < sum(errors) < 24
+
+
 def test_import_leaves_scipy_stats_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(flashopt.__file__)))
     script = "import sys, flashopt; print('scipy.stats' in sys.modules)"

@@ -1,5 +1,6 @@
 """Network, training loop, and data-generation tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -388,6 +389,18 @@ def test_dataset_roundtrip_exact(tmp_path):
     for a, b in zip(back, samples):
         assert a.features == b.features
         assert a.label == b.label
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.25,0.25,0.5,0.1,0.2,0.3", "6 values, but the first row has 5"),
+    ("0.25,0.25,0.25,0.1,0.2", "features must sum to 1"),
+    ("0.5,0.5,x,0.1,0.2", "could not convert"),
+])
+def test_dataset_rejects_bad_row_with_its_line(tmp_path, bad_row, message):
+    path = tmp_path / "data.csv"
+    path.write_text(f"0.25,0.25,0.5,0.1,0.2\n\n{bad_row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+        load_dataset(path, n_features=3)
 
 
 def test_reference_thresholds_match_cis_at_zero_retention():

@@ -1,6 +1,6 @@
 """Properties of the one numerical core over random conditions and thresholds,
-of the CLI's config parser over random JSON values, and of the model and
-dataset file formats and the encoder over random contents.
+of the CLI's config parser over random JSON values, and of the threshold,
+model and dataset file formats and the encoder over random contents.
 
 The transition matrix, the page channels and the LLR tables are built
 from the same batch routines the threshold search runs; these checks
@@ -131,9 +131,43 @@ def test_model_file_roundtrips_and_rejects_truncation(model, data):
         for a, b in zip(_arrays(back), _arrays(model)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         blob = path.read_bytes()
+        path.write_bytes(blob + data.draw(st.binary(min_size=1, max_size=64), label="tail"))
+        with pytest.raises(ValueError, match="trailing data"):
+            load_model(path)
         path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")])
         with pytest.raises(ValueError):
             load_model(path)
+
+
+threshold_values = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                            min_size=1, max_size=12, unique=True).map(sorted)
+line_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.sampled_from(
+    ["1.5", " 2e0 ", "nan", "inf", "-1", "0", "3 # c", "#", "", "1_0", "0x1p0"])
+
+
+@cases
+@given(threshold_values)
+def test_threshold_file_roundtrips_exactly(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.txt"
+        ThresholdSet(tuple(values)).to_file(path)
+        assert ThresholdSet.from_file(path).d == tuple(values)
+
+
+@cases
+@given(st.lists(line_text, max_size=8))
+def test_threshold_file_lines_parse_to_a_valid_set_or_raise(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            d = ThresholdSet.from_file(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        v = d.as_array()
+        assert v.size >= 1 and np.all(np.isfinite(v)) and v[0] > 0
+        assert np.all(np.diff(v) > 0)
 
 
 @st.composite

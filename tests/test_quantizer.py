@@ -5,10 +5,9 @@ import pytest
 from scipy import integrate
 
 from flashopt.channel import Condition, StateModel, pdf_at, state_models
-from flashopt.quantizer import (PAGE_STATES, DmcChannel, LlrTable,
-                                ThresholdSet, gray_state, hard_thresholds,
-                                llr_table, page_subchannel, quantize,
-                                transition_matrix)
+from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
+                                gray_state, hard_thresholds, llr_table,
+                                page_subchannel, quantize, transition_matrix)
 
 # state -> (msb, lsb) of the standard MLC Gray mapping
 GRAY_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
@@ -21,6 +20,9 @@ def test_threshold_set_validation():
         ThresholdSet((1.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         ThresholdSet((2.0, 1.0))
+    for bad in ((float("nan"),), (1.0, 2.0, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdSet(bad)
     d = ThresholdSet((1.0, 2.0, 3.0))
     assert d.j_levels == 3
 
@@ -182,15 +184,6 @@ def test_llr_clamped_to_l_max():
     strong = llr_table(models, d)
     assert np.max(np.abs(strong.llr)) <= 30.0
     assert np.max(np.abs(strong.llr)) > 2.5
-
-
-def test_llr_table_file_roundtrip(tmp_path):
-    models = state_models(Condition(6000.0, 10.0))
-    table = llr_table(models, ThresholdSet(hard_thresholds(models)))
-    path = tmp_path / "llr.txt"
-    table.to_file(path)
-    back = LlrTable.from_file(path)
-    assert np.array_equal(back.llr, table.llr)
 
 
 def test_page_subchannel_rows_average_states():
