@@ -2,9 +2,11 @@
 
 Codes are built from seeded constructions (circulant lifts of a base
 pattern, or progressive edge growth for the random preset) so results
-are reproducible without shipping matrices.  Encoding uses a one-time
-Gaussian elimination over GF(2) that records which columns ended up as
-parity positions; the remaining (free) columns carry the info bits.
+are reproducible without shipping matrices.  The parity matrix is held
+as sparse edge arrays, and progressive edge growth grows them directly.
+Encoding uses a one-time Gaussian elimination over GF(2) that records
+which columns ended up as parity positions; the remaining (free) columns
+carry the info bits.
 
 The decoder is a flooding sum-product with the tanh-product check rule,
 vectorized over all edges at once: each edge's product of the other
@@ -65,12 +67,6 @@ class ParityMatrix:
         h = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         h[self.edge_check, self.edge_var] = 1
         return h
-
-    def check_neighbors(self, ci: int) -> np.ndarray:
-        return self.edge_var[self.edge_check == ci]
-
-    def var_neighbors(self, vi: int) -> np.ndarray:
-        return self.edge_check[self.edge_var == vi]
 
     def col_weights(self) -> np.ndarray:
         return np.bincount(self.edge_var, minlength=self.n_cols)
@@ -138,7 +134,9 @@ def _qc_base_pattern(spec: CodeSpec) -> np.ndarray:
 
 
 def _qc_shift_table(pattern: np.ndarray, z: int, rng) -> np.ndarray | None:
-    """Greedy girth-aware shift assignment; None when a cell runs dry."""
+    """Greedy shift assignment; None when a cell runs dry.  Each shift
+    avoids every value that would close a four-cycle with an earlier column,
+    s[r,c] = s[r,c2] - s[r2,c2] + s[r2,c] (mod z), so the lift has none."""
     br, bc = pattern.shape
     shifts = np.full((br, bc), -1, dtype=np.int64)
     for c in range(bc):
@@ -163,79 +161,56 @@ def _qc_shift_table(pattern: np.ndarray, z: int, rng) -> np.ndarray | None:
     return shifts
 
 
-def _qc_four_cycle_free(shifts: np.ndarray, z: int) -> bool:
-    br, bc = shifts.shape
-    for r1 in range(br):
-        for r2 in range(r1 + 1, br):
-            cols = np.nonzero((shifts[r1] >= 0) & (shifts[r2] >= 0))[0]
-            diff = (shifts[r1, cols] - shifts[r2, cols]) % z
-            if np.unique(diff).size != diff.size:
-                return False
-    return True
-
-
 def _build_qc(spec: CodeSpec, rng) -> ParityMatrix | None:
-    pattern = _qc_base_pattern(spec)
-    shifts = _qc_shift_table(pattern, spec.z, rng)
-    if shifts is None or not _qc_four_cycle_free(shifts, spec.z):
-        return None
-    return qc_expand(shifts, spec.z)
+    shifts = _qc_shift_table(_qc_base_pattern(spec), spec.z, rng)
+    return None if shifts is None else qc_expand(shifts, spec.z)
 
 
-def _peg_bfs(hf: np.ndarray, v: int):
-    """Checks reachable from variable v, plus the last BFS frontier."""
-    reach_v = np.zeros(hf.shape[1])
-    reach_v[v] = 1.0
-    reached = np.zeros(hf.shape[0], dtype=bool)
-    frontier = reached
+def _reach(ec: np.ndarray, ev: np.ndarray, v: int, m: int, n: int):
+    """Checks that variable v reaches over the edges (ec, ev), plus the last
+    layer of the breadth-first search."""
+    seen = np.zeros(n, dtype=bool)
+    seen[v] = True
+    reached = frontier = np.zeros(m, dtype=bool)
     while True:
-        now = (hf @ reach_v) > 0.0
+        now = reached.copy()
+        now[ec[seen[ev]]] = True
         new = now & ~reached
         if not new.any():
             return reached, frontier
-        frontier = new
-        reached = now
-        reach_v = (hf.T @ now.astype(float)) > 0.0
+        frontier, reached = new, now
+        seen[ev[now[ec]]] = True
 
 
 def _build_peg(spec: CodeSpec, rng) -> ParityMatrix | None:
-    """Progressive edge growth at fixed column weight."""
-    m, n = spec.m_rows, spec.n
-    hf = np.zeros((m, n))
+    """Progressive edge growth at fixed column weight.
+
+    Each edge of variable v goes to a check of least degree among those v
+    does not reach yet or, once v reaches every check, among the last
+    layer its search reached.  Edges are grown in variable order, w each.
+    """
+    m, n, w = spec.m_rows, spec.n, spec.col_weight
+    ec = np.zeros(n * w, dtype=np.int64)
+    ev = np.repeat(np.arange(n), w)
     deg = np.zeros(m, dtype=np.int64)
-    for v in range(n):
-        for k in range(spec.col_weight):
-            if k == 0:
-                cand = np.arange(m)
-            else:
-                reached, frontier = _peg_bfs(hf, v)
-                cand = np.nonzero(~reached)[0]
-                if cand.size == 0:
-                    cand = np.nonzero(frontier)[0]
-            cand = cand[hf[cand, v] == 0]
-            if cand.size == 0:
-                return None
-            best = cand[deg[cand] == deg[cand].min()]
-            pick = int(best[rng.integers(best.size)])
-            hf[pick, v] = 1.0
-            deg[pick] += 1
-    rows, cols = np.nonzero(hf)
-    pm = ParityMatrix(m, n, rows, cols)
-    return pm if _pairwise_four_cycle_free(pm) else None
-
-
-def _pairwise_four_cycle_free(pm: ParityMatrix) -> bool:
-    """No two variables may share more than one check."""
-    seen = set()
-    for v in range(pm.n_cols):
-        checks = np.sort(pm.var_neighbors(v))
-        for a in range(checks.size):
-            for b in range(a + 1, checks.size):
-                key = int(checks[a]) * pm.n_rows + int(checks[b])
-                if key in seen:
-                    return False
-                seen.add(key)
-    return True
+    for e in range(n * w):
+        v, k = divmod(e, w)
+        pool = np.ones(m, dtype=bool)
+        if k:
+            reached, frontier = _reach(ec[:e], ev[:e], v, m, n)
+            pool = frontier if reached.all() else ~reached
+            pool[ec[e - k:e]] = False
+        cand = np.flatnonzero(pool)
+        if cand.size == 0:
+            return None
+        best = cand[deg[cand] == deg[cand].min()]
+        ec[e] = best[rng.integers(best.size)]
+        deg[ec[e]] += 1
+    # four-cycle free: no pair of checks is shared by two variables
+    checks = np.sort(ec.reshape(n, w), axis=1)
+    a, b = np.triu_indices(w, 1)
+    pairs = checks[:, a] * m + checks[:, b]
+    return ParityMatrix(m, n, ec, ev) if np.unique(pairs).size == pairs.size else None
 
 
 # -- encoding ----------------------------------------------------------------
@@ -354,9 +329,11 @@ def syndrome(pm, bits) -> np.ndarray:
 
 # -- sum-product decoding ----------------------------------------------------
 
-def _check_products(t, edge_check, n_rows):
-    """Per-edge product of the other tanh values in the same check, via log
-    magnitudes and sign parity."""
+def check_messages(v2c, pm: ParityMatrix) -> np.ndarray:
+    """Check-node update: per-edge extrinsic message from the tanh rule,
+    with the product of the other tanh values as described above."""
+    t = np.tanh(0.5 * np.asarray(v2c, dtype=float))
+    edge_check, n_rows = pm.edge_check, pm.n_rows
     mag = np.abs(t)
     zero = mag == 0.0
     logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
@@ -369,14 +346,7 @@ def _check_products(t, edge_check, n_rows):
     mag_out[zeros_among_others > 0] = 0.0
     neg_among_others = per_check_neg[edge_check] - neg
     sign = 1.0 - 2.0 * (neg_among_others.astype(np.int64) & 1)
-    return sign * mag_out
-
-
-def check_messages(v2c, pm: ParityMatrix) -> np.ndarray:
-    """Check-node update: per-edge extrinsic message from the tanh rule."""
-    t = np.tanh(0.5 * np.asarray(v2c, dtype=float))
-    prod = _check_products(t, pm.edge_check, pm.n_rows)
-    return 2.0 * np.arctanh(np.clip(prod, -_ATANH_LIM, _ATANH_LIM))
+    return 2.0 * np.arctanh(np.clip(sign * mag_out, -_ATANH_LIM, _ATANH_LIM))
 
 
 def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
@@ -390,11 +360,12 @@ def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
     llr = np.asarray(llrs, dtype=float)
     if llr.shape != (pm.n_cols,):
         raise ValueError(f"expected {pm.n_cols} LLRs, got {llr.shape}")
+    if i_max < 1:
+        raise ValueError(f"i_max must be at least 1, got {i_max}")
     # Internal sign convention is log(p0/p1); inputs use the opposite.
     intr = np.clip(-llr, -clamp, clamp)
     v2c = intr[pm.edge_var]
-    hard = np.zeros(pm.n_cols, dtype=np.uint8)
-    for it in range(1, max(int(i_max), 1) + 1):
+    for it in range(1, int(i_max) + 1):
         c2v = np.clip(check_messages(v2c, pm), -clamp, clamp)
         total = intr + np.bincount(pm.edge_var, weights=c2v, minlength=pm.n_cols)
         v2c = np.clip(total[pm.edge_var] - c2v, -clamp, clamp)

@@ -389,34 +389,38 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a save_model file.  The sizes its header declares are checked
+    against the bytes the file holds before any of them is read."""
     with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(_MODEL_MAGIC):
+        raise ValueError(f"{path}: not a model file")
+    pos = len(_MODEL_MAGIC)
 
-        def read(size: int) -> bytes:
-            data = fh.read(size)
-            if len(data) != size:
-                raise ValueError(f"{path}: truncated model file")
-            return data
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which the file must hold."""
+        nonlocal pos
+        if pos + size > len(blob):
+            raise ValueError(f"{path}: truncated model file")
+        pos += size
+        return pos - size
 
-        def floats(size: int) -> np.ndarray:
-            return np.frombuffer(read(8 * size), dtype="<f8").copy()
-
-        if fh.read(len(_MODEL_MAGIC)) != _MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file")
-        version, n_dims, scale = struct.unpack("<IId", read(16))
-        if version != _MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        if n_dims < 2:
-            raise ValueError(f"{path}: a model needs at least two layers")
-        dims = struct.unpack(f"<{n_dims}I", read(4 * n_dims))
-        x_shift, x_scale, y_shift, y_scale = (
-            floats(size) for size in (dims[0], dims[0], dims[-1], dims[-1]))
-        weights, biases = [], []
-        for nin, nout in zip(dims[:-1], dims[1:]):
-            weights.append(floats(nin * nout).reshape(nin, nout))
-            biases.append(floats(nout))
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing data")
-    return MlpModel(dims=dims, weights=weights, biases=biases, scale=scale,
+    version, n_dims, scale = struct.unpack_from("<IId", blob, take(16))
+    if version != _MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported model version {version}")
+    if n_dims < 2:
+        raise ValueError(f"{path}: a model needs at least two layers")
+    dims = struct.unpack_from(f"<{n_dims}I", blob, take(4 * n_dims))
+    sizes = [dims[0], dims[0], dims[-1], dims[-1]]
+    for nin, nout in zip(dims[:-1], dims[1:]):
+        sizes += [nin * nout, nout]
+    left = len(blob) - pos - 8 * sum(sizes)
+    if left:
+        raise ValueError(f"{path}: {'trailing data' if left > 0 else 'truncated model file'}")
+    x_shift, x_scale, y_shift, y_scale, *layers = (
+        np.frombuffer(blob, "<f8", size, take(8 * size)).copy() for size in sizes)
+    weights = [w.reshape(nin, nout) for w, nin, nout in zip(layers[::2], dims[:-1], dims[1:])]
+    return MlpModel(dims=dims, weights=weights, biases=layers[1::2], scale=scale,
                     x_shift=x_shift, x_scale=x_scale, y_shift=y_shift,
                     y_scale=y_scale)
 

@@ -132,14 +132,6 @@ def binary_eps_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.nda
     return q_func(t_stat(n, rate, *info_iu(w, _HALF))[0])
 
 
-def neg_mi_batch(d_batch: np.ndarray, models) -> np.ndarray:
-    """Negated full-alphabet mutual information per candidate row."""
-    w = region_masses(input_tails(np.atleast_2d(d_batch), models,
-                                  single_states(len(models))))
-    i, _ = info_iu(w, np.full(len(models), 1.0 / len(models)))
-    return -i[0]
-
-
 def objective(d: ThresholdSet, cond: Condition, params: FlashParams,
               n: int, rate: float) -> float:
     """Two-page eps_max of the quantized channel at one operating point."""

@@ -1,6 +1,7 @@
 """Command-line behavior: configs, overrides, outputs, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -239,6 +240,18 @@ def test_model_file_cut_in_header_exits_2(tmp_path, capsys):
     cut.write_bytes(whole.read_bytes()[:12])   # magic plus half the header
     rc = main(["pipeline", "--source", "cis", "--pe-list", "15000",
                "--t-list", "0", "--frames", "1", "--model-file", str(cut)])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_model_file_with_huge_dims_exits_2(tmp_path, capsys):
+    # magic, version 3, two layers, scale, then dims (2**32 - 1, 2**32 - 1):
+    # the size they imply is checked against the file before any allocation
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(b"FOPTMLP\x00" + struct.pack("<IId2I", 3, 2, 6.0, 2**32 - 1, 2**32 - 1)
+                     + bytes(64))
+    rc = main(["pipeline", "--source", "cis", "--pe-list", "15000",
+               "--t-list", "0", "--frames", "1", "--model-file", str(huge)])
     assert rc == 2
     assert "truncated" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Code construction, encoding, and decoder tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -37,13 +39,11 @@ def test_parity_matrix_validation():
         ParityMatrix(2, 3, np.array([0, 1]), np.array([0, 1]))  # empty column
 
 
-def test_dense_roundtrip_and_neighbors():
+def test_dense_roundtrip_and_weights():
     h = np.array([[1, 0, 1, 1],
                   [0, 1, 1, 0]], dtype=np.uint8)
     pm = ParityMatrix.from_dense(h)
     assert np.array_equal(pm.dense(), h)
-    assert np.array_equal(np.sort(pm.check_neighbors(0)), [0, 2, 3])
-    assert np.array_equal(pm.var_neighbors(2), [0, 1])
     assert np.array_equal(pm.col_weights(), [1, 1, 2, 1])
     assert np.array_equal(pm.row_weights(), [3, 2])
 
@@ -107,9 +107,22 @@ def test_rank_matches_independent_bigint_elimination():
     assert gf2_rank_bigint(code.h.dense()) == code.rank
 
 
+@pytest.mark.parametrize("name, seed, digest", [
+    ("2k-qc", 0, "66fae5f0ee2d9f76"), ("2k-qc", 1, "922dfe10961e84c4"),
+    ("4k-qc", 0, "56ab3cde1aeca22a"), ("4k-qc", 1, "52a07ddb73fea0f5"),
+    ("2k-random", 0, "87950923a4366b66"), ("2k-random", 1, "34a32c5df853df14"),
+])
+def test_preset_matrix_is_pinned(name, seed, digest):
+    h = build_code(name, seed=seed).h
+    blob = h.edge_check.astype("<i8").tobytes() + h.edge_var.astype("<i8").tobytes()
+    assert hashlib.sha256(blob).hexdigest().startswith(digest)
+
+
 def test_qc_presets_free_of_four_cycles():
-    # overlap of any two rows of H must be at most one column
-    for name in ("2k-qc", "4k-qc"):
+    # overlap of any two rows of H must be at most one column; the QC shift
+    # table and the PEG edge test each avoid four-cycles their own way, and
+    # this guards both
+    for name in PRESETS:
         h = build_code(name, seed=0).h.dense().astype(np.int64)
         gram = h @ h.T
         np.fill_diagonal(gram, 0)
@@ -225,6 +238,13 @@ def test_decode_rejects_wrong_length():
     code = code_from_matrix(ParityMatrix.from_dense(HAMMING_74))
     with pytest.raises(ValueError):
         sp_decode(code, np.zeros(8))
+
+
+def test_decode_rejects_no_iterations():
+    code = code_from_matrix(ParityMatrix.from_dense(HAMMING_74))
+    for i_max in (0, -1):
+        with pytest.raises(ValueError, match="i_max"):
+            sp_decode(code, np.full(7, 3.0), i_max=i_max)
 
 
 def test_decode_deterministic_iterations():

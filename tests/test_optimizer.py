@@ -6,8 +6,7 @@ import pytest
 from flashopt.channel import Condition, DEFAULT_PARAMS, StateModel, state_models
 from flashopt.optimizer import (CisConfig, binary_eps_batch, cis_optimize,
                                 coordinate_search, eps_max_batch,
-                                init_thresholds, mmi_optimize, neg_mi_batch,
-                                objective)
+                                init_thresholds, mmi_optimize, objective)
 from flashopt.quantizer import ThresholdSet, hard_thresholds, transition_matrix
 from flashopt.fbl import mutual_information
 
@@ -109,12 +108,26 @@ def test_eps_batch_matches_public_objective():
         assert v == pytest.approx(direct, rel=1e-10, abs=1e-300)
 
 
-def test_neg_mi_batch_matches_transition_matrix():
-    models = state_models(Condition(9000.0, 50.0))
-    d = init_thresholds(models, 6).as_array()
-    got = neg_mi_batch(d[None, :], models)[0]
-    ch = transition_matrix(models, ThresholdSet(tuple(d)))
-    assert got == pytest.approx(-mutual_information(ch), rel=1e-12)
+def test_mmi_result_is_a_grid_fixed_point_of_mutual_information():
+    # the search scores candidates through its lattice tables; judged by
+    # the transition matrix instead, no single in-window grid move of its
+    # result may raise the mutual information
+    cfg = CisConfig()
+    steps = int(round(cfg.lam / cfg.grid_step))
+    for cond in (Condition(9000.0, 100.0), Condition(15000.0, 0.0),
+                 Condition(4000.0, 1e5)):
+        models = state_models(cond)
+        d = mmi_optimize(cond, DEFAULT_PARAMS, cfg, seed=0)
+        best = mutual_information(transition_matrix(models, d))
+        base = d.as_array()
+        for j in range(base.size):
+            for off in range(-steps, steps + 1):
+                moved = base.copy()
+                moved[j] += off * cfg.grid_step
+                if moved[0] <= 0 or not np.all(np.diff(moved) > 0):
+                    continue
+                mi = mutual_information(transition_matrix(models, ThresholdSet(tuple(moved))))
+                assert mi <= best + 1e-12, (cond, j, off, mi, best)
 
 
 def test_cis_history_monotone_and_consistent():

@@ -1,0 +1,87 @@
+"""Write the fixed-seed outputs of every CLI subcommand into one directory.
+
+Usage:  python3 tools/fixed_seed_outputs.py OUTDIR
+
+Each run is ``python -m flashopt`` on this checkout's ``src/`` with one
+BLAS thread; its result files and its stdout (``<run>.stdout``) land in
+OUTDIR.  A change that must keep outputs byte-identical is checked by
+running this script on both commits and comparing the two directories:
+
+    diff -r OUTDIR_BEFORE OUTDIR_AFTER
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+FER_POINTS = ["--pe-list", "15000,17000", "--t-list", "0,1000", "--frames", "12",
+              "--max-frame-errors", "5"]
+PIPELINE_POINTS = ["--pe-list", "4000,6000", "--t-list", "100,1e5", "--frames", "12"]
+
+
+def runs(out: Path):
+    """(name, argv) in run order; later runs read earlier runs' files."""
+    yield "train", ["train", "--count", "12", "--cells", "5000",
+                    "--pe-set", "4000,6000,15000,17000", "--t-lo", "0", "--t-hi", "1e5",
+                    "--epochs", "300", "--batch", "5", "--lr", "1e-3", "--lr-final", "1e-4",
+                    "--dataset-out", out / "train.dataset.csv",
+                    "--model-out", out / "train.model.bin",
+                    "--loss-out", out / "train.loss.csv"]
+    yield "train-dataset-in", ["train", "--dataset-in", out / "train.dataset.csv",
+                               "--hidden", "16,8", "--epochs", "300", "--batch", "5",
+                               "--model-out", out / "train-dataset-in.model.bin",
+                               "--loss-out", out / "train-dataset-in.loss.csv"]
+    yield "optimize-cis", ["optimize", "--n-pe", "12000", "--t-ret", "1000",
+                           "--out", out / "optimize-cis.txt",
+                           "--history-out", out / "optimize-cis.history.csv"]
+    yield "optimize-mmi", ["optimize", "--method", "mmi", "--n-pe", "12000",
+                           "--t-ret", "1000",
+                           "--history-out", out / "optimize-mmi.history.csv"]
+    yield "ccr", ["ccr", "--code-list", "2k-qc,4k-qc", "--j-list", "3,6",
+                  "--pe-list", "12000", "--t-list", "0,1000", "--out", out / "ccr.csv"]
+    for source in ("hard", "mmi", "cis", "cis-t0", "dnn", "file"):
+        yield f"fer-{source}", ["fer", "--source", source, *FER_POINTS,
+                                "--thresholds-file", out / "optimize-cis.txt",
+                                "--model-file", out / "train.model.bin",
+                                "--out", out / f"fer-{source}.csv"]
+    yield "fer-cis-4k-qc", ["fer", "--source", "cis", "--code", "4k-qc", *FER_POINTS,
+                            "--out", out / "fer-cis-4k-qc.csv"]
+    yield "fer-hard-2k-random", ["fer", "--source", "hard", "--code", "2k-random",
+                                 *FER_POINTS, "--out", out / "fer-hard-2k-random.csv"]
+    yield "pipeline-cis-t0", ["pipeline", "--source", "cis-t0", *PIPELINE_POINTS,
+                              "--refresh-interval", "5",
+                              "--model-file", out / "train.model.bin",
+                              "--out", out / "pipeline-cis-t0.csv"]
+    yield "pipeline-dnn", ["pipeline", "--source", "dnn", *PIPELINE_POINTS,
+                           "--refresh-interval", "0",
+                           "--model-file", out / "train.model.bin",
+                           "--out", out / "pipeline-dnn.csv"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, **dict.fromkeys(BLAS_THREADS, "1")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, args in runs(out):
+        cmd = [sys.executable, "-m", "flashopt", *map(str, args)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        if done.returncode:
+            print(f"{name} failed ({done.returncode}):\n{done.stderr}", file=sys.stderr)
+            return 1
+        (out / f"{name}.stdout").write_text(done.stdout)
+        print(name, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
