@@ -191,7 +191,9 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
 
 def _load_model_if_needed(cfg: ExperimentConfig, model):
     if model is None and cfg.model_file is not None:
-        return load_model(cfg.model_file)
+        model = load_model(cfg.model_file)
+    if model is not None and model.n_outputs != cfg.j_levels:
+        raise ValueError(f"model gives {model.n_outputs} thresholds; j_levels is {cfg.j_levels}")
     return model
 
 
@@ -255,7 +257,7 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     how the controller would estimate wear state online.
     """
     code = build_code(cfg.code, seed=cfg.code_seed)
-    model = _load_model_if_needed(cfg, model)
+    model = _load_model_if_needed(cfg, model) if cfg.source == "dnn" else None
     rows = []
     for point, cond, _, _, d, table in _points(cfg, code.spec, model, need_ref=False):
         errors = 0

@@ -8,10 +8,13 @@ Encoding uses a one-time Gaussian elimination over GF(2) that records
 which columns ended up as parity positions; the remaining (free) columns
 carry the info bits.
 
-The decoder is a flooding sum-product with the tanh-product check rule,
-vectorized over all edges at once: each edge's product of the other
-tanh values in its check comes from per-check sums of log magnitudes
-and counts of negative and zero factors.
+The decoder is a flooding sum-product with the tanh-product check rule on
+a slot layout: check c's k-th edge is slot (k, c) of a (W, m) array, W the
+largest row weight, and each column's sum of log |tanh| and parity of
+negatives give its edges' products of the others.  Shorter checks pad with
+v2c = +inf, whose log |tanh| is exactly 0.0.  Column sums add the W rows in
+turn, as a bincount over the edges does, so messages match edge order bit
+for bit; np.add.reduceat would not, as it sums runs of 8 or more pairwise.
 
 LLR sign convention matches the quantizer tables: positive favors bit 1.
 """
@@ -19,13 +22,14 @@ LLR sign convention matches the quantizer tables: positive favors bit 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 MAX_BUILD_TRIES = 20
 RATE_TOL = 0.005
 _ATANH_LIM = 1.0 - 1e-15
+_SIGN_BIT = np.uint64(1 << 63)
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1) & 1
 
 
@@ -73,6 +77,23 @@ class ParityMatrix:
 
     def row_weights(self) -> np.ndarray:
         return np.bincount(self.edge_check, minlength=self.n_rows)
+
+    @cached_property
+    def slots(self):
+        """The decoder's layout (see the module docstring): each edge's flat
+        slot, each slot's variable as a (W, m) array (n_cols on a pad), the
+        flat pad slots, and each variable's slots in check order (then W * m)."""
+        ec, ev, m, n = self.edge_check, self.edge_var, self.n_rows, self.n_cols
+        k = np.arange(ec.size) - np.searchsorted(ec, ec)
+        edge, w = k * m + ec, int(k.max()) + 1
+        var = np.full(w * m, n)
+        var[edge] = ev
+        by_var = np.argsort(ev, kind="stable")
+        ev = ev[by_var]
+        j = np.arange(ec.size) - np.searchsorted(ev, ev)
+        var_slots = np.full((int(j.max()) + 1, n), w * m)
+        var_slots[j, ev] = edge[by_var]
+        return edge, var.reshape(w, m), np.flatnonzero(var == n), var_slots
 
 
 @dataclass(frozen=True)
@@ -140,24 +161,14 @@ def _qc_shift_table(pattern: np.ndarray, z: int, rng) -> np.ndarray | None:
     br, bc = pattern.shape
     shifts = np.full((br, bc), -1, dtype=np.int64)
     for c in range(bc):
-        for r in range(br):
-            if not pattern[r, c]:
-                continue
-            forbidden = set()
-            for r2 in range(br):
-                if r2 == r or shifts[r2, c] < 0:
-                    continue
-                both = pattern[r] & pattern[r2] & (np.arange(bc) < c)
-                for c2 in np.nonzero(both)[0]:
-                    if shifts[r, c2] < 0 or shifts[r2, c2] < 0:
-                        continue
-                    forbidden.add(int(shifts[r, c2] - shifts[r2, c2] + shifts[r2, c]) % z)
-            for s in rng.permutation(z):
-                if int(s) not in forbidden:
-                    shifts[r, c] = s
-                    break
-            else:
+        for r in np.flatnonzero(pattern[:, c]):
+            r2 = np.flatnonzero(shifts[:, c] >= 0)  # rows of column c set so far
+            closing = (shifts[r, :c] - shifts[r2, :c] + shifts[r2, c, None]) % z
+            order = rng.permutation(z)
+            free = order[~np.isin(order, closing[pattern[r, :c] & pattern[r2, :c]])]
+            if free.size == 0:
                 return None
+            shifts[r, c] = free[0]
     return shifts
 
 
@@ -322,31 +333,39 @@ def encode(code: LdpcCode, info) -> np.ndarray:
 def syndrome(pm, bits) -> np.ndarray:
     """Parity of each check; accepts a code or its parity matrix."""
     pm = getattr(pm, "h", pm)
-    bits = np.asarray(bits).astype(np.int64) & 1
-    return np.bincount(pm.edge_check, weights=bits[pm.edge_var],
-                       minlength=pm.n_rows).astype(np.int64) & 1
+    bits = np.asarray(bits)
+    if bits.shape != (pm.n_cols,):
+        raise ValueError(f"expected {pm.n_cols} bits, got {bits.shape}")
+    odd = np.append(bits.astype(np.int64) & 1, 0).astype(bool)
+    return _parity(odd[pm.slots[1]]).astype(np.int64)
+
+
+def _parity(odd) -> np.ndarray:
+    """Per-check parity of a (W, m) slot array of bools, False on the pads."""
+    return np.bitwise_xor.reduce(odd, axis=0)
 
 
 # -- sum-product decoding ----------------------------------------------------
 
-def check_messages(v2c, pm: ParityMatrix) -> np.ndarray:
-    """Check-node update: per-edge extrinsic message from the tanh rule,
-    with the product of the other tanh values as described above."""
-    t = np.tanh(0.5 * np.asarray(v2c, dtype=float))
-    edge_check, n_rows = pm.edge_check, pm.n_rows
-    mag = np.abs(t)
-    zero = mag == 0.0
-    logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
-    neg = t < 0.0
-    per_check_log = np.bincount(edge_check, weights=logmag, minlength=n_rows)
-    per_check_zero = np.bincount(edge_check, weights=zero.astype(float), minlength=n_rows)
-    per_check_neg = np.bincount(edge_check, weights=neg.astype(float), minlength=n_rows)
-    zeros_among_others = per_check_zero[edge_check] - zero
-    mag_out = np.exp(per_check_log[edge_check] - logmag)
-    mag_out[zeros_among_others > 0] = 0.0
-    neg_among_others = per_check_neg[edge_check] - neg
-    sign = 1.0 - 2.0 * (neg_among_others.astype(np.int64) & 1)
-    return 2.0 * np.arctanh(np.clip(sign * mag_out, -_ATANH_LIM, _ATANH_LIM))
+def _check_rule(v2c, out, t, logmag, neg, sign) -> None:
+    """Check-node update on (W, m) slot arrays, +inf on v2c's pads, into out;
+    t, logmag, neg and sign are work arrays (float, float, bool, uint64)."""
+    np.tanh(np.multiply(v2c, 0.5, out=t), out=t)
+    np.less(t, 0.0, out=neg)
+    mag = np.abs(t, out=t)
+    zero = None if mag.min() > 0.0 else mag == 0.0
+    if zero is not None:
+        mag[zero] = 1.0  # log 1 = 0: a zero factor adds nothing to the sum
+    np.log(mag, out=logmag)
+    np.exp(np.subtract(logmag.sum(axis=0), logmag, out=out), out=out)
+    if zero is not None:
+        out[zero.sum(axis=0) - zero > 0] = 0.0
+    # the product's sign: parity of the negatives among the others
+    np.bitwise_xor(neg, _parity(neg), out=neg)
+    bits = out.view(np.uint64)
+    np.bitwise_xor(bits, np.multiply(neg, _SIGN_BIT, out=sign), out=bits)
+    np.clip(out, -_ATANH_LIM, _ATANH_LIM, out=out)
+    np.multiply(np.arctanh(out, out=out), 2.0, out=out)
 
 
 def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
@@ -362,14 +381,23 @@ def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
         raise ValueError(f"expected {pm.n_cols} LLRs, got {llr.shape}")
     if i_max < 1:
         raise ValueError(f"i_max must be at least 1, got {i_max}")
+    _, var, pads, var_slots = pm.slots
     # Internal sign convention is log(p0/p1); inputs use the opposite.
-    intr = np.clip(-llr, -clamp, clamp)
-    v2c = intr[pm.edge_var]
+    # The pads gather total[n] = +inf: v2c +inf, never negative.
+    total = np.append(np.clip(-llr, -clamp, clamp), np.inf)
+    post, intr, v2c = total[:-1], total[:-1].copy(), total[var]
+    c2v = np.zeros(v2c.size + 1)  # c2v[-1] = 0.0 fills a variable's missing edges
+    c2v_slots, gathered = c2v[:-1].reshape(var.shape), np.empty(var_slots.shape)
+    g, logmag = np.empty((2, *var.shape))
+    odd, sign = np.empty(var.shape, bool), np.empty(var.shape, np.uint64)
     for it in range(1, int(i_max) + 1):
-        c2v = np.clip(check_messages(v2c, pm), -clamp, clamp)
-        total = intr + np.bincount(pm.edge_var, weights=c2v, minlength=pm.n_cols)
-        v2c = np.clip(total[pm.edge_var] - c2v, -clamp, clamp)
-        hard = (total < 0.0).astype(np.uint8)
-        if not np.any(syndrome(pm, hard)) and np.all(total != 0.0):
-            return hard, True, it
-    return hard, False, int(i_max)
+        _check_rule(v2c, c2v_slots, g, logmag, odd, sign)  # g, odd: its work arrays
+        np.clip(c2v_slots, -clamp, clamp, out=c2v_slots)
+        np.take(c2v, var_slots, out=gathered).sum(axis=0, out=post)
+        post += intr
+        np.take(total, var, out=g)
+        np.clip(np.subtract(g, c2v_slots, out=v2c), -clamp, clamp, out=v2c)
+        v2c.ravel()[pads] = np.inf
+        if not _parity(np.less(g, 0.0, out=odd)).any() and post.all():
+            return (post < 0.0).astype(np.uint8), True, it
+    return (post < 0.0).astype(np.uint8), False, int(i_max)

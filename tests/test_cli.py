@@ -223,6 +223,18 @@ def test_pipeline_without_model_exits_2(capsys):
     assert "model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fer", "pipeline"])
+def test_model_of_other_width_than_j_levels_exits_2(tmp_path, command, capsys):
+    # a three-threshold network cannot serve the default six-level quantizer
+    model_path = tmp_path / "m3.bin"
+    save_model(make_constant_model(ThresholdSet((1.0, 2.0, 3.0))), model_path)
+    rc = main([command, "--source", "dnn", "--pe-list", "15000", "--t-list", "0",
+               "--frames", "2", "--model-file", str(model_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "3 thresholds" in err and "j_levels is 6" in err
+
+
 def test_non_numeric_params_and_cis_exit_2(tmp_path, capsys):
     for section, key in (("params", "v_p"), ("cis", "lam"), ("cis", "i_max")):
         cfg = tmp_path / "c.json"

@@ -6,12 +6,22 @@ import numpy as np
 import pytest
 
 from flashopt.ldpc import (CodeSpec, LdpcCode, ParityMatrix, PRESETS,
-                           build_code, check_messages, code_from_matrix,
+                           _check_rule, build_code, code_from_matrix,
                            encode, qc_expand, sp_decode, syndrome)
 
 HAMMING_74 = np.array([[1, 1, 0, 1, 1, 0, 0],
                        [1, 0, 1, 1, 0, 1, 0],
                        [0, 1, 1, 1, 0, 0, 1]], dtype=np.uint8)
+
+
+def check_messages(v2c, pm: ParityMatrix) -> np.ndarray:
+    """The decoder's check rule on one edge-order vector of messages."""
+    edge, var = pm.slots[:2]
+    slots, out = np.full(var.shape, np.inf), np.empty(var.shape)
+    slots.ravel()[edge] = v2c
+    _check_rule(slots, out, *np.empty((2, *var.shape)), np.empty(var.shape, bool),
+                np.empty(var.shape, np.uint64))
+    return out.ravel()[edge]
 
 
 def gf2_rank_bigint(h: np.ndarray) -> int:
@@ -156,6 +166,14 @@ def test_syndrome_accepts_code_or_matrix():
     assert np.any(syndrome(code, flipped))
 
 
+def test_syndrome_rejects_wrong_length():
+    # index n_cols is the pads' slot, so a longer word must not be read
+    code = code_from_matrix(ParityMatrix.from_dense(HAMMING_74))
+    for size in (6, 8):
+        with pytest.raises(ValueError, match="bits"):
+            syndrome(code, np.zeros(size, dtype=np.int64))
+
+
 def test_hamming_corrects_every_single_flip():
     # LLR magnitude 2.0 matches a raw bit error rate around 0.12; on a
     # graph this short, belief propagation is only distance-1 reliable
@@ -258,3 +276,107 @@ def test_decode_deterministic_iterations():
     out2 = sp_decode(code, llr)
     assert np.array_equal(out1[0], out2[0])
     assert out1[1:] == out2[1:]
+
+
+# -- the slot-layout decoder against the edge-order one it replaced ----------
+
+_LIM = 1.0 - 1e-15
+
+
+def _edge_check_messages(v2c, pm):
+    """Frozen copy of the edge-order check rule: per-check bincount sums."""
+    t = np.tanh(0.5 * np.asarray(v2c, dtype=float))
+    edge_check, n_rows = pm.edge_check, pm.n_rows
+    mag = np.abs(t)
+    zero = mag == 0.0
+    logmag = np.where(zero, 0.0, np.log(np.where(zero, 1.0, mag)))
+    neg = t < 0.0
+    per_check_log = np.bincount(edge_check, weights=logmag, minlength=n_rows)
+    per_check_zero = np.bincount(edge_check, weights=zero.astype(float), minlength=n_rows)
+    per_check_neg = np.bincount(edge_check, weights=neg.astype(float), minlength=n_rows)
+    zeros_among_others = per_check_zero[edge_check] - zero
+    mag_out = np.exp(per_check_log[edge_check] - logmag)
+    mag_out[zeros_among_others > 0] = 0.0
+    neg_among_others = per_check_neg[edge_check] - neg
+    sign = 1.0 - 2.0 * (neg_among_others.astype(np.int64) & 1)
+    return 2.0 * np.arctanh(np.clip(sign * mag_out, -_LIM, _LIM))
+
+
+def _edge_sp_decode(code, llrs, i_max=25, clamp=30.0):
+    """Frozen copy of the edge-order flooding decoder, bincount syndrome."""
+    pm = code.h
+    intr = np.clip(-np.asarray(llrs, dtype=float), -clamp, clamp)
+    v2c = intr[pm.edge_var]
+    for it in range(1, int(i_max) + 1):
+        c2v = np.clip(_edge_check_messages(v2c, pm), -clamp, clamp)
+        total = intr + np.bincount(pm.edge_var, weights=c2v, minlength=pm.n_cols)
+        v2c = np.clip(total[pm.edge_var] - c2v, -clamp, clamp)
+        hard = (total < 0.0).astype(np.uint8)
+        odd = np.bincount(pm.edge_check, weights=hard[pm.edge_var],
+                          minlength=pm.n_rows).astype(np.int64) & 1
+        if not np.any(odd) and np.all(total != 0.0):
+            return hard, True, it
+    return hard, False, int(i_max)
+
+
+def _irregular_code(seed: int):
+    """A random code whose rows and columns both vary in weight."""
+    rng = np.random.default_rng(seed)
+    h = rng.random((40, 120)) < 0.06
+    h[rng.integers(0, 40, 120), np.arange(120)] = True
+    return code_from_matrix(ParityMatrix.from_dense(h))
+
+
+def _slot_codes():
+    """(name, code): no pads, row pads (two presets), row and column pads."""
+    codes = [(name, build_code(name, seed=0)) for name in ("2k-qc", "4k-qc", "2k-random")]
+    codes.append(("irregular", _irregular_code(11)))
+    w = [(code.h.row_weights(), code.h.col_weights()) for _, code in codes]
+    assert np.ptp(w[0][0]) == 0 and np.ptp(w[1][0]) > 0 and np.ptp(w[2][0]) > 0
+    assert np.ptp(w[3][0]) > 0 and np.ptp(w[3][1]) > 0
+    return codes
+
+
+def _noisy_llrs(code, rng, sigma, zeros):
+    """LLRs of a random codeword sent as +-1 through Gaussian noise, with a
+    share `zeros` of them erased to exactly 0."""
+    cw = encode(code, rng.integers(0, 2, code.info_len))
+    llr = 2.0 * ((2.0 * cw - 1.0) + rng.normal(0.0, sigma, code.n)) / sigma**2
+    llr[rng.random(code.n) < zeros] = 0.0
+    return llr
+
+
+def test_slot_decoder_matches_edge_order_decoder_bit_for_bit():
+    # (bits, converged, iterations) of every decode, from one iteration to
+    # the waterfall and beyond, with exact zeros among the LLRs; clamp 3
+    # makes any pad that is not +inf move its check's messages by far more
+    # than one ulp
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for name, code in _slot_codes():
+        for sigma, zeros, clamp in ((0.42, 0.0, 30.0), (0.47, 0.0, 30.0), (0.5, 0.01, 30.0),
+                                    (0.7, 0.05, 30.0), (0.45, 0.1, 3.0)):
+            llr = _noisy_llrs(code, rng, sigma, zeros)
+            for i_max in (1, 3, 25):
+                got = sp_decode(code, llr, i_max=i_max, clamp=clamp)
+                expect = _edge_sp_decode(code, llr, i_max=i_max, clamp=clamp)
+                assert np.array_equal(got[0], expect[0]), (name, sigma, i_max)
+                assert got[1:] == expect[1:], (name, sigma, i_max)
+                outcomes.add(got[1:])
+    assert {(True, 1), (True, 2), (False, 25)} <= outcomes
+    assert any(ok and it > 3 for ok, it in outcomes)
+
+
+def test_slot_check_rule_matches_edge_order_bit_for_bit():
+    # the per-check log sums run in edge order, as bincount adds them; a
+    # pairwise sum (np.add.reduceat on 8 or more terms) differs in the last
+    # bits, which this comparison of bit patterns catches
+    rng = np.random.default_rng(13)
+    for name, code in _slot_codes():
+        size = code.h.edge_var.size
+        for zeros in (0.0, 0.01, 0.3):
+            v2c = rng.normal(0.0, 4.0, size) * 10.0 ** rng.integers(-3, 2, size)
+            v2c[rng.random(size) < zeros] = 0.0
+            got = check_messages(v2c, code.h)
+            expect = _edge_check_messages(v2c, code.h)
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64)), (name, zeros)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from flashopt.channel import Condition, state_models
 from flashopt.cli import FIELDS
 from flashopt.fbl import info_iu, info_variance, mutual_information
-from flashopt.ldpc import build_code, encode, syndrome
+from flashopt.ldpc import PRESETS, ParityMatrix, build_code, encode, syndrome
 from flashopt.mlp import (MlpModel, Sample, load_dataset, load_model,
                           save_dataset, save_model)
 from flashopt.quantizer import (L_MAX, PAGE_STATES, ThresholdSet, input_tails,
@@ -202,3 +202,26 @@ def test_encoded_words_satisfy_every_check(raw):
     word = encode(code, info)
     assert np.array_equal(word[code.free_cols], info)
     assert not syndrome(code, word).any()
+
+
+def _parity_matrix(spec) -> ParityMatrix:
+    """A preset's matrix, or a random (m, n) one whose columns are all used."""
+    if isinstance(spec, str):
+        return build_code(spec).h
+    m, n, seed = spec
+    rng = np.random.default_rng(seed)
+    h = rng.random((m, n)) < rng.uniform(0.05, 0.6)
+    h[rng.integers(0, m, n), np.arange(n)] = True
+    return ParityMatrix.from_dense(h)
+
+
+@cases
+@given(st.sampled_from(sorted(PRESETS))
+       | st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1)),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_syndrome_is_the_dense_gf2_product(spec, seed, density):
+    # the slot layout pads short checks and may leave checks empty; the
+    # parity of every check must still be the row of H times the word
+    h = _parity_matrix(spec)
+    bits = (np.random.default_rng(seed).random(h.n_cols) < density).astype(np.int64)
+    assert np.array_equal(syndrome(h, bits), h.dense().astype(np.int64) @ bits % 2)

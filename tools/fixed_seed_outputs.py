@@ -22,6 +22,10 @@ BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 FER_POINTS = ["--pe-list", "15000,17000", "--t-list", "0,1000", "--frames", "12",
               "--max-frame-errors", "5"]
+# Wear points on the waterfall: many pages need every iteration or never
+# converge, and 4k-qc's short checks exercise the decoder's pad slots.
+WATERFALL = ["--source", "cis", "--t-list", "0", "--frames", "40",
+             "--max-frame-errors", "40"]
 PIPELINE_POINTS = ["--pe-list", "4000,6000", "--t-list", "100,1e5", "--frames", "12"]
 
 
@@ -54,6 +58,10 @@ def runs(out: Path):
                             "--out", out / "fer-cis-4k-qc.csv"]
     yield "fer-hard-2k-random", ["fer", "--source", "hard", "--code", "2k-random",
                                  *FER_POINTS, "--out", out / "fer-hard-2k-random.csv"]
+    yield "fer-waterfall-2k-qc", ["fer", *WATERFALL, "--pe-list", "15000,17000,19000",
+                                  "--out", out / "fer-waterfall-2k-qc.csv"]
+    yield "fer-waterfall-4k-qc", ["fer", *WATERFALL, "--code", "4k-qc", "--pe-list", "17000",
+                                  "--out", out / "fer-waterfall-4k-qc.csv"]
     yield "pipeline-cis-t0", ["pipeline", "--source", "cis-t0", *PIPELINE_POINTS,
                               "--refresh-interval", "5",
                               "--model-file", out / "train.model.bin",
