@@ -31,7 +31,7 @@ from .channel import (Condition, FlashParams, check_numbers, sample_wordline,
 from .fbl import achievable_rate, mutual_information, info_variance
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
-from .optimizer import CisConfig, cis_optimize, mmi_optimize
+from .optimizer import CisConfig, cis_optimize, cis_optimize_many, mmi_optimize
 from .quantizer import (LlrTable, ThresholdSet, gray_state, hard_thresholds,
                         llr_table, page_subchannel, quantize,
                         transition_matrix)
@@ -278,10 +278,11 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
 def run_ccr(cfg: ExperimentConfig):
     """Achievable-rate sweep over codes, quantizer sizes, and conditions.
 
-    Thresholds are re-optimized (CIS) at every point; the reported rate
-    is the two-page average of the finite-blocklength achievable rate at
-    target error cfg.rate_eps.  No parity matrices are built; only the
-    preset blocklength and rate enter the calculation.
+    Thresholds are re-optimized (CIS) at every point, each (code, J)
+    block's points in one lockstep batch; the reported rate is the
+    two-page average of the finite-blocklength achievable rate at target
+    error cfg.rate_eps.  No parity matrices are built; only the preset
+    blocklength and rate enter the calculation.
     """
     codes = cfg.code_list or (cfg.code,)
     j_values = cfg.j_list or (cfg.j_levels,)
@@ -289,24 +290,20 @@ def run_ccr(cfg: ExperimentConfig):
     for code_name in codes:
         spec = PRESETS[code_name]
         for j in j_values:
-            cis_cfg = replace(cfg.cis, j_levels=j)
-            for n_pe in cfg.pe_list:
-                for t_ret in cfg.t_list:
-                    cond = Condition(n_pe, t_ret)
-                    d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate,
-                                        cis_cfg, seed=cfg.seed)
-                    models = state_models(cond, cfg.params)
-                    ch4 = transition_matrix(models, d)
-                    rates = []
-                    for page in ("msb", "lsb"):
-                        ch = page_subchannel(ch4, page=page)
-                        i_bits = mutual_information(ch)
-                        u_bits = info_variance(ch)
-                        rates.append(achievable_rate(spec.n, cfg.rate_eps,
-                                                     i_bits, u_bits))
-                    rows.append({"code": code_name, "j_levels": j,
-                                 "n_pe": float(n_pe), "t_ret": float(t_ret),
-                                 "n": spec.n, "rate": np.mean(rates)})
+            conds = [Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list]
+            designed = cis_optimize_many(conds, cfg.params, spec.n, spec.rate,
+                                         replace(cfg.cis, j_levels=j), seed=cfg.seed)
+            for cond, (d, _) in zip(conds, designed):
+                ch4 = transition_matrix(state_models(cond, cfg.params), d)
+                rates = []
+                for page in ("msb", "lsb"):
+                    ch = page_subchannel(ch4, page=page)
+                    i_bits = mutual_information(ch)
+                    u_bits = info_variance(ch)
+                    rates.append(achievable_rate(spec.n, cfg.rate_eps, i_bits, u_bits))
+                rows.append({"code": code_name, "j_levels": j,
+                             "n_pe": float(cond.n_pe), "t_ret": float(cond.t_ret),
+                             "n": spec.n, "rate": np.mean(rates)})
     _write_table(cfg.out, rows)
     return rows
 

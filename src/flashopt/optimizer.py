@@ -19,10 +19,10 @@ changes with wear and retention, so the search starts from several
 points: the initial recipe, one deterministic start per split
 (k1, k2, k3) with every k_i >= 1 (k_i thresholds centred on crossing i,
 delta/2 apart), and optionally seeded jittered copies of the recipe.
-All starts run in lockstep, one batch of (starts x candidates) per
-coordinate, and a move re-evaluates only the two regions next to the
-moved threshold.  The best final point wins, with ties broken toward the
-smaller threshold vector.
+All starts of all conditions run in lockstep, one batch of (starts x
+candidates) per coordinate, and a move re-evaluates only the two regions
+next to the moved threshold.  Each condition's best final point wins,
+with ties broken toward the smaller threshold vector.
 
 A mutual-information-maximizing variant of the same search provides the
 classic baseline for comparison.
@@ -89,16 +89,19 @@ class CisConfig:
 # through the transition matrix instead; tests pin the two routes together.
 
 _HALF = np.array([0.5, 0.5])
+_SLICE = 1024  # most candidates a lattice objective scores at once
 
 
-def _eps_order(t: np.ndarray) -> np.ndarray:
+def _eps_order(t: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Values that order the entries of t as eps_max(t[0], t[1]) does,
     never tied by underflow to 0 or rounding to 1.
 
-    If every eps lies in [1e-300, 0.5], that is eps itself.  Otherwise it
-    is logit(eps): from eps itself within that range; below, where 1 - eps
-    is 1, from log_ndtr(-t); above, with log(1 - eps) from log_ndtr(t).
-    Only values from one call are comparable.
+    Entry i belongs to condition cond[i], which never decreases with i.
+    Where every eps of a condition lies in [1e-300, 0.5], its values are
+    eps itself.  Otherwise they are logit(eps): from eps itself within
+    that range; below, where 1 - eps is 1, from log_ndtr(-t); above, with
+    log(1 - eps) from log_ndtr(t).  Only values from one condition in one
+    call are comparable.
     """
     eps = eps_max(t[0], t[1])
     if eps.min() >= 1e-300 and eps.max() <= 0.5:
@@ -112,6 +115,10 @@ def _eps_order(t: np.ndarray) -> np.ndarray:
     if high.any():
         down = log_ndtr(t[:, high])
         out[high] = np.log(eps[high]) - np.logaddexp(down[0], down[1]) + _LN2
+    if cond[0] != cond[-1]:  # conditions with every eps in range keep eps
+        off = np.bincount(cond, ~((eps >= 1e-300) & (eps <= 0.5)))
+        keep = (off == 0)[cond]
+        out[keep] = eps[keep]
     return out
 
 
@@ -171,30 +178,37 @@ def init_thresholds(models, j_levels: int, uniform: bool = False) -> ThresholdSe
 
 
 class _Lattice:
-    """A region-additive objective of thresholds on the lattice k * step.
+    """A region-additive objective of thresholds on the lattice k * step,
+    for several conditions at once.
 
-    Input tail masses are tabulated once per lattice point the search can
-    reach, and the per-region information terms of every start's current
-    thresholds are kept between calls.  ``score`` maps the channels'
-    (I, U) to the value being minimized.
+    Start s belongs to condition cond[s], whose state models are
+    models[cond[s]].  Input tail masses are tabulated once per condition
+    and lattice point the search can reach, the conditions' tables side by
+    side on the lattice axis, and the per-region information terms of
+    every start's current thresholds are kept between calls.  ``stat``
+    maps the channels' (I, U) to per-candidate statistics, one row per
+    channel, and ``order`` maps those and each candidate's condition to
+    the value being minimized.
     """
 
-    def __init__(self, models, step: float, groups, prior, score):
-        self.models, self.step, self.groups = models, step, groups
-        self.prior, self.score = prior, score
+    def __init__(self, models, cond, step: float, groups, prior, stat, order):
+        self.models, self.cond, self.step, self.groups = models, cond, step, groups
+        self.prior, self.stat, self.order = prior, stat, order
 
     def full(self, k: np.ndarray) -> np.ndarray:
-        """Objective of each row of lattice indices."""
-        return self.score(*info_iu(region_masses(np.take(self._table, k, axis=-1)),
-                                   self.prior))
+        """Objective of each start's row of lattice indices."""
+        w = region_masses(np.take(self._table, k + self._base[:, None], axis=-1))
+        return self.order(self.stat(*info_iu(w, self.prior)), self.cond)
 
     def reset(self, k: np.ndarray, size: int) -> None:
         """Start from the thresholds k (one row per start); no threshold
         will reach lattice index ``size``."""
-        self._table = input_tails(np.arange(size) * self.step, self.models,
-                                  self.groups)
-        self._terms = region_terms(region_masses(np.take(self._table, k, axis=-1)),
-                                   self.prior)
+        self._base = self.cond * size
+        self._table = np.concatenate([input_tails(np.arange(size) * self.step, m,
+                                                  self.groups) for m in self.models],
+                                     axis=-1)
+        self._terms = region_terms(region_masses(
+            np.take(self._table, k + self._base[:, None], axis=-1)), self.prior)
 
     def __call__(self, k: np.ndarray, j: int, sid: np.ndarray,
                  cand: np.ndarray) -> np.ndarray:
@@ -202,21 +216,31 @@ class _Lattice:
 
         Only the two regions that threshold j bounds are evaluated; the
         other regions' terms come from the kept terms of the current
-        thresholds.
+        thresholds.  Candidates are scored in slices of at most _SLICE, so
+        that only their new terms and statistics take memory per candidate.
         """
-        # np.take: the same gathers as fancy indexing, at a fraction of the cost
-        kept, table = self._terms, self._table
+        # ndarray.take along the lattice axis: the same gathers as fancy
+        # indexing, at a fraction of the cost
+        kept, table, base = self._terms, self._table, self._base
         rest = kept[..., :j].sum(axis=-1) + kept[..., j + 2:].sum(axis=-1)
-        rest = np.take(rest, sid, axis=-1)
-        tc = np.take(table, cand, axis=-1)
-        above = np.take(table, np.take(k[:, j - 1], sid), axis=-1) if j else 1.0
-        below = (np.take(table, np.take(k[:, j + 1], sid), axis=-1)
-                 if j + 1 < k.shape[1] else 0.0)
-        w = np.empty(tc.shape[:2] + (2,) + tc.shape[2:])
-        np.subtract(above, tc, out=w[:, :, 0])
-        np.subtract(tc, below, out=w[:, :, 1])
-        self._new = region_terms(np.maximum(w, 0.0, out=w), self.prior)
-        return self.score(*iu_from_sums(rest + (self._new[:, :, 0] + self._new[:, :, 1])))
+        kb = k + base[:, None]  # indices into the joined tables
+        cand = cand + base[sid]
+        above = kb[:, j - 1][sid] if j else None
+        below = kb[:, j + 1][sid] if j + 1 < k.shape[1] else None
+        new = self._new = np.empty((2, table.shape[0], 2, cand.size))
+        stat = np.empty((table.shape[0], cand.size))
+        for lo in range(0, cand.size, _SLICE):
+            part = slice(lo, lo + _SLICE)
+            tc = table.take(cand[part], axis=-1)
+            w = np.empty(tc.shape[:2] + (2,) + tc.shape[2:])
+            np.subtract(1.0 if above is None else table.take(above[part], axis=-1),
+                        tc, out=w[:, :, 0])
+            np.subtract(tc, 0.0 if below is None else table.take(below[part], axis=-1),
+                        out=w[:, :, 1])
+            new[..., part] = region_terms(np.maximum(w, 0.0, out=w), self.prior)
+            stat[:, part] = self.stat(*iu_from_sums(
+                rest.take(sid[part], axis=-1) + (new[:, :, 0, part] + new[:, :, 1, part])))
+        return self.order(stat, self.cond[sid])
 
     def accept(self, sid: np.ndarray, j: int, choice: np.ndarray) -> None:
         """Starts sid moved threshold j to the candidates at positions choice
@@ -300,13 +324,14 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
             for s in range(n_starts)]
 
 
-def _best_path(obj, starts: np.ndarray, cfg: CisConfig) -> np.ndarray:
-    """Path of the start that ends lowest (ties: smallest thresholds)."""
+def _best_paths(obj, starts: np.ndarray, cond: np.ndarray, cfg: CisConfig) -> list:
+    """For each condition, in order, the path of its start that ends
+    lowest (ties: smallest thresholds); start s belongs to cond[s]."""
     paths = _descend(obj, starts, cfg)
     ends = np.array([p[-1] for p in paths])
     score = obj.full(ends)
-    best = min(range(len(paths)), key=lambda s: (score[s], tuple(ends[s])))
-    return paths[best]
+    return [paths[min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))]
+            for c in range(cond[-1] + 1)]
 
 
 def _snap(d, step: float) -> np.ndarray:
@@ -326,7 +351,8 @@ def coordinate_search(f, d0: np.ndarray, cfg: CisConfig):
     k0 = _snap(d0, cfg.grid_step)
     if k0[0] < 1 or np.any(np.diff(k0) <= 0):
         raise ValueError("start must be positive and increasing on the grid")
-    path = _best_path(_Rows(f, cfg.grid_step), k0[None, :], cfg) * cfg.grid_step
+    path, = _best_paths(_Rows(f, cfg.grid_step), k0[None, :], np.zeros(1, int), cfg)
+    path = path * cfg.grid_step
     return path[-1], f(path).tolist()
 
 
@@ -366,6 +392,29 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     return k
 
 
+def _search(models, cfg: CisConfig, seed, groups, prior, stat, order) -> list:
+    """Lattice paths of the winning starts, one per condition's models."""
+    starts = [_starts(m, cfg, seed) for m in models]
+    cond = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
+    obj = _Lattice(models, cond, cfg.grid_step, groups, prior, stat, order)
+    return _best_paths(obj, np.concatenate(starts), cond, cfg)
+
+
+def cis_optimize_many(conds, params: FlashParams, n: int, rate: float,
+                      cfg: CisConfig = CisConfig(), seed: int = 0) -> list:
+    """``cis_optimize`` at each condition, all searches in one lockstep
+    batch; returns (thresholds, eps history) per condition, each the same
+    as the condition's own search."""
+    if not conds:
+        return []
+    models = [state_models(c, params) for c in conds]
+    paths = _search(models, cfg, seed, PAGE_STATES, _HALF,
+                    lambda i, u: t_stat(n, rate, i, u), _eps_order)
+    return [(ThresholdSet(tuple(p[-1] * cfg.grid_step)),
+             eps_max_batch(p * cfg.grid_step, m, n, rate).tolist())
+            for p, m in zip(paths, models)]
+
+
 def cis_optimize(cond: Condition, params: FlashParams, n: int, rate: float,
                  cfg: CisConfig = CisConfig(), seed: int = 0):
     """Minimize the two-page eps_max; returns thresholds and eps history.
@@ -373,14 +422,7 @@ def cis_optimize(cond: Condition, params: FlashParams, n: int, rate: float,
     The history holds eps at the start and after each sweep of the
     winning start's search.
     """
-    models = state_models(cond, params)
-
-    def score(i, u):
-        return _eps_order(t_stat(n, rate, i, u))
-
-    obj = _Lattice(models, cfg.grid_step, PAGE_STATES, _HALF, score)
-    path = _best_path(obj, _starts(models, cfg, seed), cfg) * cfg.grid_step
-    return ThresholdSet(tuple(path[-1])), eps_max_batch(path, models, n, rate).tolist()
+    return cis_optimize_many([cond], params, n, rate, cfg, seed)[0]
 
 
 def mmi_optimize(cond: Condition, params: FlashParams,
@@ -388,7 +430,6 @@ def mmi_optimize(cond: Condition, params: FlashParams,
     """Same search maximizing full-alphabet mutual information."""
     models = state_models(cond, params)
     prior = np.full(len(models), 1.0 / len(models))
-    obj = _Lattice(models, cfg.grid_step, single_states(len(models)), prior,
-                   lambda i, u: -i[0])
-    path = _best_path(obj, _starts(models, cfg, seed), cfg)
+    path, = _search([models], cfg, seed, single_states(len(models)), prior,
+                    lambda i, u: -i, lambda v, cond: v[0])
     return ThresholdSet(tuple(path[-1] * cfg.grid_step))

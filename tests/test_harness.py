@@ -201,6 +201,21 @@ def test_run_ccr_rows_and_determinism(tmp_path):
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
+def test_run_ccr_batches_equal_per_condition_designs(monkeypatch):
+    # each (code, J) block is designed in one batch; the rows must be the
+    # ones that one search per condition gives
+    cfg = ExperimentConfig(code_list=("2k-qc",), j_list=(6,),
+                           pe_list=(4000.0, 12000.0, 19000.0), t_list=(0.0, 1e3, 1e6))
+    batched = run_ccr(cfg)
+    monkeypatch.setattr(harness, "cis_optimize_many",
+                        lambda conds, *args, **kwargs: [cis_optimize(c, *args, **kwargs)
+                                                        for c in conds])
+    single = run_ccr(cfg)
+    assert len(batched) == 9
+    assert [{**r, "rate": float(r["rate"]).hex()} for r in batched] == \
+        [{**r, "rate": float(r["rate"]).hex()} for r in single]
+
+
 def test_run_pipeline_accounting_and_model_requirement():
     cond = Condition(15000.0, 0.0)
     d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)

@@ -1,14 +1,17 @@
 """Threshold search tests, including brute-force grid oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from flashopt.channel import Condition, DEFAULT_PARAMS, StateModel, state_models
+from flashopt import optimizer
 from flashopt.optimizer import (CisConfig, binary_eps_batch, cis_optimize,
-                                coordinate_search, eps_max_batch,
+                                cis_optimize_many, coordinate_search, eps_max_batch,
                                 init_thresholds, mmi_optimize, objective)
 from flashopt.quantizer import ThresholdSet, hard_thresholds, transition_matrix
-from flashopt.fbl import mutual_information
+from flashopt.fbl import eps_max, mutual_information
 
 
 def test_config_validation():
@@ -223,3 +226,69 @@ def test_cis_finds_the_best_split_of_levels_among_crossings():
     _, ref = coordinate_search(f, start, cfg)
     _, history = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, cfg, seed=0)
     assert history[-1] <= ref[-1] * (1 + 1e-9)
+
+
+# The searches' outputs, pinned bit for bit: wear x retention x J at grid
+# 0.01 (eps down to ~1e-144 at PE 0, saturated at 1 from PE 12000 on),
+# a few points at grid 0.005, and points at rate 0.8 where eps underflows
+# to 0 and the search compares logit(eps) from log_ndtr.
+_PINNED_GRID = [(pe, t, j, 0.01, 0.9) for j in (3, 6, 9)
+                for pe in (0.0, 4000.0, 8000.0, 12000.0, 16000.0, 19000.0)
+                for t in (0.0, 1e3, 1e5, 1e6)]
+_PINNED_EXTRA = [(4000.0, 0.0, 6, 0.005, 0.9), (12000.0, 1e3, 6, 0.005, 0.9),
+                 (19000.0, 1e6, 9, 0.005, 0.9), (0.0, 0.0, 6, 0.01, 0.8),
+                 (8000.0, 0.0, 9, 0.01, 0.8)]
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(float(x).hex() for x in values).encode()).hexdigest()
+
+
+def test_search_outputs_are_pinned():
+    cis, mmi, ends = [], [], set()
+    for pe, t, j, grid, rate in _PINNED_GRID + _PINNED_EXTRA:
+        cond, cfg = Condition(pe, t), CisConfig(j_levels=j, grid_step=grid)
+        d, history = cis_optimize(cond, DEFAULT_PARAMS, 2624, rate, cfg, seed=0)
+        cis += [*d.as_array(), *history]
+        ends.add(history[-1])
+        mmi += mmi_optimize(cond, DEFAULT_PARAMS, cfg, seed=0).as_array().tolist()
+    assert {0.0, 1.0} <= ends
+    assert _hex_digest(cis) == ("bf084640590d923b3e3e15c7ed95b3f8"
+                                "130d6a048034773be17d0889034a3df4")
+    assert _hex_digest(mmi) == ("b398c59bf489f4d8f14efd8c69e364b5"
+                                "8fe517e4fb0e8edfd61cb62adac7e4b6")
+
+
+def _hex(result) -> list:
+    d, history = result
+    return [float(x).hex() for x in (*d.as_array(), *history)]
+
+
+# deep tail (at rate 0.8, eps ~1e-250 and, at PE 0, 0), saturated (eps
+# 1 throughout), ordinary points, and one condition twice
+_MIXED = [Condition(8000.0, 0.0), Condition(19000.0, 1e6), Condition(12000.0, 1e3),
+          Condition(4000.0, 1e5), Condition(8000.0, 0.0), Condition(16000.0, 100.0),
+          Condition(0.0, 0.0)]
+
+
+def test_eps_order_decides_eps_or_logit_per_condition():
+    # condition 0's eps lie in range, condition 1's reach 1 and condition
+    # 2's underflow: each must read as in a call of its own
+    t = np.array([[3.0, 4.0, -40.0, -1.0, 40.0, 39.0], [3.5, 4.5, -50.0, -2.0, 41.0, 45.0]])
+    cond = np.array([0, 0, 1, 1, 2, 2])
+    parts = [optimizer._eps_order(t[:, cond == c], np.zeros(2, int)) for c in range(3)]
+    assert np.array_equal(parts[0], eps_max(*t[:, :2]))
+    assert np.array_equal(optimizer._eps_order(t, cond), np.concatenate(parts))
+
+
+@pytest.mark.parametrize("cfg", [CisConfig(),
+                                 CisConfig(j_levels=9, grid_step=0.1, restarts=2)])
+@pytest.mark.parametrize("rate", [0.9, 0.8])
+def test_batch_equals_single_searches(cfg, rate):
+    counts = {len(optimizer._starts(state_models(c), cfg, 7)) for c in _MIXED}
+    assert (len(counts) > 1) == (cfg.restarts > 0)  # restarts: start counts differ
+    single = [_hex(cis_optimize(c, DEFAULT_PARAMS, 2624, rate, cfg, seed=7)) for c in _MIXED]
+    batch = cis_optimize_many(_MIXED, DEFAULT_PARAMS, 2624, rate, cfg, seed=7)
+    assert [_hex(r) for r in batch] == single
+    one, = cis_optimize_many(_MIXED[1:2], DEFAULT_PARAMS, 2624, rate, cfg, seed=7)
+    assert _hex(one) == single[1]

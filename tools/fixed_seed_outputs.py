@@ -47,8 +47,11 @@ def runs(out: Path):
     yield "optimize-mmi", ["optimize", "--method", "mmi", "--n-pe", "12000",
                            "--t-ret", "1000",
                            "--history-out", out / "optimize-mmi.history.csv"]
-    yield "ccr", ["ccr", "--code-list", "2k-qc,4k-qc", "--j-list", "3,6",
-                  "--pe-list", "12000", "--t-list", "0,1000", "--out", out / "ccr.csv"]
+    # 9-condition batches per (code, J) whose points compare by eps and
+    # by logit(eps)
+    yield "ccr", ["ccr", "--code-list", "2k-qc,4k-qc", "--j-list", "6,9",
+                  "--pe-list", "8000,12000,16000", "--t-list", "0,1000,100000",
+                  "--out", out / "ccr.csv"]
     for source in ("hard", "mmi", "cis", "cis-t0", "dnn", "file"):
         yield f"fer-{source}", ["fer", "--source", source, *FER_POINTS,
                                 "--thresholds-file", out / "optimize-cis.txt",
