@@ -31,7 +31,7 @@ from .channel import (Condition, FlashParams, check_numbers, sample_wordline,
 from .fbl import achievable_rate, mutual_information, info_variance
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
-from .optimizer import CisConfig, cis_optimize, cis_optimize_many, mmi_optimize
+from .optimizer import CisConfig, cis_optimize, mmi_optimize
 from .quantizer import (LlrTable, ThresholdSet, gray_state, hard_thresholds,
                         llr_table, page_subchannel, quantize,
                         transition_matrix)
@@ -290,10 +290,10 @@ def run_ccr(cfg: ExperimentConfig):
     for code_name in codes:
         spec = PRESETS[code_name]
         for j in j_values:
-            conds = [Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list]
-            designed = cis_optimize_many(conds, cfg.params, spec.n, spec.rate,
-                                         replace(cfg.cis, j_levels=j), seed=cfg.seed)
-            for cond, (d, _) in zip(conds, designed):
+            cis_cfg = replace(cfg.cis, j_levels=j)
+            block = tuple(Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list)
+            for cond in block:
+                d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate, cis_cfg, cfg.seed, block)
                 ch4 = transition_matrix(state_models(cond, cfg.params), d)
                 rates = []
                 for page in ("msb", "lsb"):

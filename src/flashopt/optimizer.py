@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -96,12 +97,11 @@ def _eps_order(t: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """Values that order the entries of t as eps_max(t[0], t[1]) does,
     never tied by underflow to 0 or rounding to 1.
 
-    Entry i belongs to condition cond[i], which never decreases with i.
-    Where every eps of a condition lies in [1e-300, 0.5], its values are
-    eps itself.  Otherwise they are logit(eps): from eps itself within
-    that range; below, where 1 - eps is 1, from log_ndtr(-t); above, with
-    log(1 - eps) from log_ndtr(t).  Only values from one condition in one
-    call are comparable.
+    Entry i belongs to condition cond[i], nondecreasing in i.  Where every
+    eps of a condition lies in [1e-300, 0.5], its values are eps itself;
+    otherwise logit(eps): from eps itself within that range; below, where
+    1 - eps is 1, from log_ndtr(-t); above, with log(1 - eps) from
+    log_ndtr(t).  Only values from one condition in one call are comparable.
     """
     eps = eps_max(t[0], t[1])
     if eps.min() >= 1e-300 and eps.max() <= 0.5:
@@ -116,8 +116,7 @@ def _eps_order(t: np.ndarray, cond: np.ndarray) -> np.ndarray:
         down = log_ndtr(t[:, high])
         out[high] = np.log(eps[high]) - np.logaddexp(down[0], down[1]) + _LN2
     if cond[0] != cond[-1]:  # conditions with every eps in range keep eps
-        off = np.bincount(cond, ~((eps >= 1e-300) & (eps <= 0.5)))
-        keep = (off == 0)[cond]
+        keep = (np.bincount(cond, ~((eps >= 1e-300) & (eps <= 0.5))) == 0)[cond]
         out[keep] = eps[keep]
     return out
 
@@ -178,17 +177,14 @@ def init_thresholds(models, j_levels: int, uniform: bool = False) -> ThresholdSe
 
 
 class _Lattice:
-    """A region-additive objective of thresholds on the lattice k * step,
-    for several conditions at once.
+    """A region-additive objective of thresholds on the lattice k * step.
 
-    Start s belongs to condition cond[s], whose state models are
-    models[cond[s]].  Input tail masses are tabulated once per condition
-    and lattice point the search can reach, the conditions' tables side by
-    side on the lattice axis, and the per-region information terms of
-    every start's current thresholds are kept between calls.  ``stat``
-    maps the channels' (I, U) to per-candidate statistics, one row per
-    channel, and ``order`` maps those and each candidate's condition to
-    the value being minimized.
+    Start s belongs to condition cond[s], with state models models[cond[s]].
+    Input tail masses are tabulated once per condition and lattice point the
+    search can reach, the conditions' tables side by side on the lattice
+    axis, and the region terms of every start's thresholds are kept between
+    calls.  ``stat`` maps the channels' (I, U) to one row per channel, and
+    ``order`` maps those and the candidates' conditions to the value minimized.
     """
 
     def __init__(self, models, cond, step: float, groups, prior, stat, order):
@@ -204,9 +200,9 @@ class _Lattice:
         """Start from the thresholds k (one row per start); no threshold
         will reach lattice index ``size``."""
         self._base = self.cond * size
-        self._table = np.concatenate([input_tails(np.arange(size) * self.step, m,
-                                                  self.groups) for m in self.models],
-                                     axis=-1)
+        lattice = np.arange(size) * self.step
+        self._table = np.concatenate([input_tails(lattice, m, self.groups)
+                                      for m in self.models], axis=-1)
         self._terms = region_terms(region_masses(
             np.take(self._table, k + self._base[:, None], axis=-1)), self.prior)
 
@@ -219,8 +215,7 @@ class _Lattice:
         thresholds.  Candidates are scored in slices of at most _SLICE, so
         that only their new terms and statistics take memory per candidate.
         """
-        # ndarray.take along the lattice axis: the same gathers as fancy
-        # indexing, at a fraction of the cost
+        # ndarray.take: the same gathers as fancy indexing, at a fraction of the cost
         kept, table, base = self._terms, self._table, self._base
         rest = kept[..., :j].sum(axis=-1) + kept[..., j + 2:].sum(axis=-1)
         kb = k + base[:, None]  # indices into the joined tables
@@ -405,8 +400,6 @@ def cis_optimize_many(conds, params: FlashParams, n: int, rate: float,
     """``cis_optimize`` at each condition, all searches in one lockstep
     batch; returns (thresholds, eps history) per condition, each the same
     as the condition's own search."""
-    if not conds:
-        return []
     models = [state_models(c, params) for c in conds]
     paths = _search(models, cfg, seed, PAGE_STATES, _HALF,
                     lambda i, u: t_stat(n, rate, i, u), _eps_order)
@@ -415,14 +408,23 @@ def cis_optimize_many(conds, params: FlashParams, n: int, rate: float,
             for p, m in zip(paths, models)]
 
 
+# the last block's batch, reused by cis_optimize's calls for its conditions
+_block_designs = lru_cache(maxsize=1)(cis_optimize_many)
+
+
 def cis_optimize(cond: Condition, params: FlashParams, n: int, rate: float,
-                 cfg: CisConfig = CisConfig(), seed: int = 0):
+                 cfg: CisConfig = CisConfig(), seed: int = 0, block: tuple | None = None):
     """Minimize the two-page eps_max; returns thresholds and eps history.
 
     The history holds eps at the start and after each sweep of the
-    winning start's search.
+    winning start's search.  Given ``block``, a tuple of conditions holding
+    cond, the first call searches the whole block in one lockstep batch and
+    the calls for its other conditions reuse it, with the same results.
     """
-    return cis_optimize_many([cond], params, n, rate, cfg, seed)[0]
+    if block is None:
+        return cis_optimize_many([cond], params, n, rate, cfg, seed)[0]
+    d, history = _block_designs(block, params, n, rate, cfg, seed)[block.index(cond)]
+    return d, list(history)
 
 
 def mmi_optimize(cond: Condition, params: FlashParams,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import flashopt
-from flashopt import harness
+from flashopt import harness, optimizer
 from flashopt.channel import Condition, DEFAULT_PARAMS
 from flashopt.harness import (ExperimentConfig, PipelineStats, cp_interval,
                               predict_thresholds, resolve_thresholds, run_ccr,
@@ -206,10 +206,12 @@ def test_run_ccr_batches_equal_per_condition_designs(monkeypatch):
     # ones that one search per condition gives
     cfg = ExperimentConfig(code_list=("2k-qc",), j_list=(6,),
                            pe_list=(4000.0, 12000.0, 19000.0), t_list=(0.0, 1e3, 1e6))
+    optimizer._block_designs.cache_clear()
     batched = run_ccr(cfg)
-    monkeypatch.setattr(harness, "cis_optimize_many",
-                        lambda conds, *args, **kwargs: [cis_optimize(c, *args, **kwargs)
-                                                        for c in conds])
+    info = optimizer._block_designs.cache_info()
+    assert (info.misses, info.hits) == (1, 8)  # one batch, one call per condition
+    # the same calls without the block: one search per condition
+    monkeypatch.setattr(harness, "cis_optimize", lambda *args: cis_optimize(*args[:6]))
     single = run_ccr(cfg)
     assert len(batched) == 9
     assert [{**r, "rate": float(r["rate"]).hex()} for r in batched] == \

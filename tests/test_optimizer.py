@@ -290,5 +290,10 @@ def test_batch_equals_single_searches(cfg, rate):
     single = [_hex(cis_optimize(c, DEFAULT_PARAMS, 2624, rate, cfg, seed=7)) for c in _MIXED]
     batch = cis_optimize_many(_MIXED, DEFAULT_PARAMS, 2624, rate, cfg, seed=7)
     assert [_hex(r) for r in batch] == single
+    block = tuple(_MIXED)
+    for c, expected in zip(_MIXED, single):
+        result = cis_optimize(c, DEFAULT_PARAMS, 2624, rate, cfg, 7, block)
+        assert _hex(result) == expected
+        result[1].clear()  # the caller's copy; the block's batch keeps its own
     one, = cis_optimize_many(_MIXED[1:2], DEFAULT_PARAMS, 2624, rate, cfg, seed=7)
     assert _hex(one) == single[1]
