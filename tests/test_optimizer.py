@@ -10,7 +10,9 @@ from flashopt import optimizer
 from flashopt.optimizer import (CisConfig, binary_eps_batch, cis_optimize,
                                 cis_optimize_many, coordinate_search, eps_max_batch,
                                 init_thresholds, mmi_optimize, objective)
-from flashopt.quantizer import ThresholdSet, hard_thresholds, transition_matrix
+from flashopt.harness import ExperimentConfig, run_ccr
+from flashopt.quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
+                                llr_table, transition_matrix)
 from flashopt.fbl import eps_max, mutual_information
 
 
@@ -257,6 +259,54 @@ def test_search_outputs_are_pinned():
                                 "130d6a048034773be17d0889034a3df4")
     assert _hex_digest(mmi) == ("b398c59bf489f4d8f14efd8c69e364b5"
                                 "8fe517e4fb0e8edfd61cb62adac7e4b6")
+
+
+def test_ccr_rates_are_pinned():
+    cfg = ExperimentConfig(code_list=("2k-qc", "4k-qc"), j_list=(3, 9),
+                           pe_list=(0.0, 8000.0, 16000.0), t_list=(0.0, 1e5))
+    rates = [row["rate"] for row in run_ccr(cfg)]
+    assert len(rates) == 24
+    assert _hex_digest(rates) == ("83ad9f5c0b90f3ea3879a963d0122c7c"
+                                  "8706e59519c5b1adce7cf65fae261038")
+
+
+# Hand-built states 1 V apart and 0.02 V wide: each state's mass is
+# exactly 0 outside its own region, so a region holds one state or none.
+_NARROW = [StateModel(s, 1.0 + s, 0.02) for s in range(4)]
+
+
+def _llr_branch(num: float, den: float, l_max: float) -> str:
+    if num <= 0.0 and den <= 0.0:
+        return "empty"
+    if den <= 0.0:
+        return "bit-0 empty"
+    if num <= 0.0:
+        return "bit-1 empty"
+    return "clamped" if abs(np.log(num / den)) > l_max else "ordinary"
+
+
+def test_llr_tables_are_pinned():
+    cases = [(_NARROW, ThresholdSet((1.5, 2.5, 3.5, 50.0)))]
+    for pe, t in ((0.0, 0.0), (4000.0, 1e5), (8000.0, 1e3), (12000.0, 0.0),
+                  (16000.0, 1e6), (19000.0, 1e6)):
+        cond = Condition(pe, t)
+        models = state_models(cond)
+        cases.append((models, ThresholdSet(hard_thresholds(models))))
+        for j in (6, 9):
+            d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, CisConfig(j_levels=j))
+            cases.append((models, d))
+    values, branches = [], set()
+    for models, d in cases:
+        w = transition_matrix(models, d).w
+        for l_max in (2.5, 30.0):
+            values += llr_table(models, d, l_max).llr.ravel().tolist()
+            for page in range(2):
+                num = w[PAGE_STATES[page, 1]].sum(axis=0)
+                branches.update(_llr_branch(a, b, l_max)
+                                for a, b in zip(num, w.sum(axis=0) - num))
+    assert branches == {"empty", "bit-0 empty", "bit-1 empty", "clamped", "ordinary"}
+    assert _hex_digest(values) == ("948ac0604d2a102f96fd9eb81088b3c4"
+                                   "35fcd172992f208d98d3fe289fd18942")
 
 
 def _hex(result) -> list:
