@@ -20,8 +20,7 @@ from .mlp import (GenConfig, MlpModel, Sample, TrainConfig, forward,
                   save_model, train)
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
 from .quantizer import (DmcChannel, LlrTable, ThresholdSet, hard_thresholds,
-                        llr_table, page_subchannel, quantize,
-                        transition_matrix)
+                        llr_table, quantize, transition_matrix)
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "build_code", "cis_optimize", "cp_interval", "encode", "eps_max",
     "forward", "gen_training_data", "hard_thresholds", "histogram_features",
     "info_variance", "llr_table", "load_model", "mmi_optimize",
-    "mutual_information", "page_subchannel", "q_func", "q_inv", "quantize",
+    "mutual_information", "q_func", "q_inv", "quantize",
     "run_ccr", "run_fer", "run_pipeline", "sample_voltage", "sample_wordline",
     "save_model", "sp_decode", "state_model", "state_models", "t_stat",
     "train", "transition_matrix",

@@ -72,6 +72,7 @@ class Field(NamedTuple):
 
 _ALL = ("optimize", "fer", "ccr", "pipeline", "train")
 _SWEEPS = ("fer", "ccr", "pipeline")
+_READS = ("fer", "pipeline")  # the sweeps that read and decode frames
 
 FIELDS = {f.key: f for f in (
     Field("j_levels", int, _ALL),
@@ -87,19 +88,19 @@ FIELDS = {f.key: f for f in (
     Field("t_ret", float, ("optimize",)),
     Field("history_out", str, ("optimize",)),
     Field("code", str, _SWEEPS, choices=tuple(sorted(PRESETS))),
-    Field("source", str, _SWEEPS, choices=SOURCES),
+    Field("source", str, _READS, choices=SOURCES),
     Field("pe_list", float, _SWEEPS, many=True),
     Field("t_list", float, _SWEEPS, many=True),
-    Field("code_list", str, _SWEEPS, many=True, choices=tuple(sorted(PRESETS))),
-    Field("j_list", int, _SWEEPS, many=True),
-    Field("frames", int, _SWEEPS),
-    Field("i_max", int, _SWEEPS),
-    Field("code_seed", int, _SWEEPS),
-    Field("max_frame_errors", int, _SWEEPS),
-    Field("rate_eps", float, _SWEEPS),
-    Field("refresh_interval", int, _SWEEPS),
-    Field("thresholds_file", str, _SWEEPS),
-    Field("model_file", str, _SWEEPS),
+    Field("code_list", str, ("ccr",), many=True, choices=tuple(sorted(PRESETS))),
+    Field("j_list", int, ("ccr",), many=True),
+    Field("frames", int, _READS),
+    Field("i_max", int, _READS),
+    Field("code_seed", int, _READS),
+    Field("max_frame_errors", int, ("fer",)),
+    Field("rate_eps", float, ("ccr",)),
+    Field("refresh_interval", int, ("pipeline",)),
+    Field("thresholds_file", str, _READS),
+    Field("model_file", str, _READS),
     Field("count", int, ("train",)),
     Field("cells", int, ("train",)),
     Field("pe_set", float, ("train",), many=True),

@@ -28,13 +28,12 @@ from scipy.special import betainccinv, betaincinv
 
 from .channel import (Condition, FlashParams, check_numbers, sample_wordline,
                       state_models)
-from .fbl import achievable_rate, mutual_information, info_variance
+from .fbl import achievable_rate, info_iu
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
-from .quantizer import (LlrTable, ThresholdSet, gray_state, hard_thresholds,
-                        llr_table, page_subchannel, quantize,
-                        transition_matrix)
+from .quantizer import (LlrTable, PAGE_STATES, ThresholdSet, gray_state,
+                        hard_thresholds, llr_table, quantize, transition_matrix)
 
 SOURCES = ("hard", "mmi", "cis", "cis-t0", "dnn", "file")
 
@@ -294,13 +293,9 @@ def run_ccr(cfg: ExperimentConfig):
             block = tuple(Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list)
             for cond in block:
                 d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate, cis_cfg, cfg.seed, block)
-                ch4 = transition_matrix(state_models(cond, cfg.params), d)
-                rates = []
-                for page in ("msb", "lsb"):
-                    ch = page_subchannel(ch4, page=page)
-                    i_bits = mutual_information(ch)
-                    u_bits = info_variance(ch)
-                    rates.append(achievable_rate(spec.n, cfg.rate_eps, i_bits, u_bits))
+                w = transition_matrix(state_models(cond, cfg.params), d).w
+                i, u = info_iu(w[PAGE_STATES].mean(axis=2), np.array([0.5, 0.5]))
+                rates = [achievable_rate(spec.n, cfg.rate_eps, i[k], u[k]) for k in (0, 1)]
                 rows.append({"code": code_name, "j_levels": j,
                              "n_pe": float(cond.n_pe), "t_ret": float(cond.t_ret),
                              "n": spec.n, "rate": np.mean(rates)})

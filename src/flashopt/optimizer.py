@@ -38,11 +38,9 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .channel import Condition, FlashParams, check_numbers, state_models
-from .fbl import (eps_max, info_iu, info_variance, iu_from_sums,
-                  mutual_information, q_func, region_terms, t_stat)
+from .fbl import eps_max, info_iu, iu_from_sums, q_func, region_terms, t_stat
 from .quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
-                        input_tails, page_subchannel, region_masses,
-                        single_states, transition_matrix)
+                        input_tails, region_masses, single_states)
 
 _LN2 = math.log(2.0)
 
@@ -56,13 +54,10 @@ class CisConfig:
     i_max: int = 50        # sweep cap
     grid_step: float = 0.01
     restarts: int = 0      # additional jittered starts
-    uniform_init: bool = False  # evenly spaced init instead of the skewed recipe
 
     def __post_init__(self):
         check_numbers(self, ("j_levels", "i_max", "restarts"), integral=True)
         check_numbers(self, ("lam", "grid_step"))
-        if not isinstance(self.uniform_init, bool):
-            raise ValueError(f"uniform_init must be true or false, got {self.uniform_init!r}")
         if self.j_levels < 1:
             raise ValueError("j_levels must be at least 1")
         if self.lam <= 0 or self.grid_step <= 0:
@@ -86,8 +81,8 @@ class CisConfig:
 # re-evaluates only the two regions a moved threshold bounds.  Arrays keep
 # channels and inputs on the first two axes and the batch on the trailing
 # axes, so every small reduction runs over whole contiguous blocks.  The
-# single-vector public `objective` below composes the channel/fbl modules
-# through the transition matrix instead; tests pin the two routes together.
+# public `objective` is `eps_max_batch` on one row, so it gives the same
+# bits as the last entry of a search's history.
 
 _HALF = np.array([0.5, 0.5])
 _SLICE = 1024  # most candidates a lattice objective scores at once
@@ -121,15 +116,10 @@ def _eps_order(t: np.ndarray, cond: np.ndarray) -> np.ndarray:
     return out
 
 
-def _page_t(d_batch, models, n: int, rate: float) -> np.ndarray:
-    """Both pages' T statistics for each threshold row; shape (2, C)."""
-    w = region_masses(input_tails(np.atleast_2d(d_batch), models, PAGE_STATES))
-    return t_stat(n, rate, *info_iu(w, _HALF))
-
-
 def eps_max_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarray:
     """Two-page eps_max for each row of threshold candidates."""
-    return eps_max(*_page_t(d_batch, models, n, rate))
+    w = region_masses(input_tails(np.atleast_2d(d_batch), models, PAGE_STATES))
+    return eps_max(*t_stat(n, rate, *info_iu(w, _HALF)))
 
 
 def binary_eps_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarray:
@@ -141,38 +131,27 @@ def binary_eps_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.nda
 def objective(d: ThresholdSet, cond: Condition, params: FlashParams,
               n: int, rate: float) -> float:
     """Two-page eps_max of the quantized channel at one operating point."""
-    models = state_models(cond, params)
-    ch = transition_matrix(models, d)
-    ts = []
-    for page in ("msb", "lsb"):
-        sub = page_subchannel(ch, page)
-        ts.append(t_stat(n, rate, mutual_information(sub), info_variance(sub)))
-    return eps_max(ts[0], ts[1])
+    return float(eps_max_batch(d.as_array(), state_models(cond, params), n, rate)[0])
 
 
 # -- search ------------------------------------------------------------------
 
-def init_thresholds(models, j_levels: int, uniform: bool = False) -> ThresholdSet:
+def init_thresholds(models, j_levels: int) -> ThresholdSet:
     """Initial thresholds spanning the hard-decision range.
 
-    The default recipe anchors d_1 one spacing below the first crossing
-    and d_J one spacing above the last, leaving a double-width gap after
-    d_1; the uniform variant spaces all thresholds evenly over the same
-    span.
+    The recipe anchors d_1 one spacing below the first crossing and d_J
+    one spacing above the last, leaving a double-width gap after d_1.
     """
     if j_levels < 3:
         raise ValueError("initialization needs at least 3 levels")
     h = hard_thresholds(models)
     h1, h3 = h[0], h[-1]
     delta = (h3 - h1) / (j_levels - 1)
-    if uniform:
-        d = np.linspace(h1 - delta, h3 + delta, j_levels)
-    else:
-        d = np.empty(j_levels)
-        d[0] = h1 - delta
-        for j in range(2, j_levels):
-            d[j - 1] = h1 + (j - 1) * delta
-        d[-1] = h3 + delta
+    d = np.empty(j_levels)
+    d[0] = h1 - delta
+    for j in range(2, j_levels):
+        d[j - 1] = h1 + (j - 1) * delta
+    d[-1] = h3 + delta
     return ThresholdSet(tuple(d))
 
 
@@ -372,7 +351,7 @@ def _split_start(h, delta: float, split) -> np.ndarray:
 def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
-    d0 = init_thresholds(models, j_levels, cfg.uniform_init).as_array()
+    d0 = init_thresholds(models, j_levels).as_array()
     h = hard_thresholds(models)
     delta = (h[-1] - h[0]) / (j_levels - 1)
     starts = [d0, *_jittered_starts(d0, delta, cfg, seed)]

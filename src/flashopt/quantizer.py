@@ -3,15 +3,16 @@
 A set of J read thresholds splits the voltage axis into J+1 half-open
 regions.  Sensing a cell returns only the region index, so the analog
 channel collapses to a discrete memoryless channel with four inputs (the
-charge states) and J+1 outputs.  This module builds that channel, its
-per-page binary marginals under the Gray mapping, the per-region LLR
-tables used by the soft decoder, and the classic hard-decision thresholds
-at the pairwise density crossings.
+charge states) and J+1 outputs.  This module builds that channel, the
+Gray page table that groups its states into the two pages' bits, the
+per-region LLR tables used by the soft decoder, and the classic
+hard-decision thresholds at the pairwise density crossings.
 
 Region masses come from one batch routine (Gaussian tails of groups of
 states at many threshold rows at once) that the threshold search runs
 directly; a transition matrix is that routine applied to one row with
-each state its own group.
+each state its own group.  A page's binary channel is the mean of its
+bit's two state rows, ``w[PAGE_STATES].mean(axis=2)`` for both pages.
 """
 
 from __future__ import annotations
@@ -81,15 +82,6 @@ def gray_state(msb, lsb):
     return out if out.ndim else int(out)
 
 
-def _page_index(page: str) -> int:
-    page = page.lower()
-    if page == "msb":
-        return 0
-    if page == "lsb":
-        return 1
-    raise ValueError(f"unknown page: {page!r}")
-
-
 @dataclass(frozen=True)
 class DmcChannel:
     """Discrete memoryless channel: input prior and region transition rows."""
@@ -108,10 +100,6 @@ class DmcChannel:
             raise ValueError("every transition row must sum to 1")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "w", w)
-
-    @property
-    def n_regions(self) -> int:
-        return self.w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -191,12 +179,11 @@ def region_masses(tails):
     return np.maximum(edges[..., :-1] - edges[..., 1:], 0.0)
 
 
-def transition_matrix(models, d: ThresholdSet, prior=None) -> DmcChannel:
-    """DMC from state Gaussians to read regions (tail-difference masses)."""
+def transition_matrix(models, d: ThresholdSet) -> DmcChannel:
+    """DMC from state Gaussians to read regions (tail-difference masses),
+    every state equally likely."""
     w = region_masses(input_tails(d.as_array(), models, single_states(len(models))))[0]
-    if prior is None:
-        prior = np.full(len(models), 1.0 / len(models))
-    return DmcChannel(prior=prior, w=w)
+    return DmcChannel(prior=np.full(len(models), 1.0 / len(models)), w=w)
 
 
 def llr_table(models, d: ThresholdSet, l_max: float = L_MAX) -> LlrTable:
@@ -207,26 +194,12 @@ def llr_table(models, d: ThresholdSet, l_max: float = L_MAX) -> LlrTable:
     """
     if len(models) != N_STATES:
         raise ValueError(f"expected {N_STATES} state models")
-    ch = transition_matrix(models, d)
-    out = np.zeros((ch.n_regions, 2))
-    for k in range(2):
-        num = ch.w[PAGE_STATES[k, 1]].sum(axis=0)
-        den = ch.w.sum(axis=0) - num
-        for j in range(ch.n_regions):
-            if num[j] <= 0.0 and den[j] <= 0.0:
-                out[j, k] = 0.0
-            elif den[j] <= 0.0:
-                out[j, k] = l_max
-            elif num[j] <= 0.0:
-                out[j, k] = -l_max
-            else:
-                out[j, k] = min(max(math.log(num[j] / den[j]), -l_max), l_max)
-    return LlrTable(out)
-
-
-def page_subchannel(ch: DmcChannel, page: str = "msb") -> DmcChannel:
-    """Binary-input marginal of one page: rows indexed by bit value 0, 1."""
-    if ch.w.shape[0] != N_STATES:
-        raise ValueError("page_subchannel expects the 4-state channel")
-    rows = ch.w[PAGE_STATES[_page_index(page)]].mean(axis=1)
-    return DmcChannel(prior=np.array([0.5, 0.5]), w=rows)
+    w = transition_matrix(models, d).w
+    num = w[PAGE_STATES[:, 1]].sum(axis=1)  # (page, region)
+    den = w.sum(axis=0) - num
+    both = (num > 0.0) & (den > 0.0)
+    ratio = np.divide(num, den, out=np.ones_like(num), where=both)
+    # math.log: numpy's vectorized log may differ from it in the last bit
+    llr = np.fromiter(map(math.log, ratio.flat), float, ratio.size).reshape(ratio.shape)
+    one_bit = l_max * (num > 0.0) - l_max * (den > 0.0)  # +-l_max, 0 if empty
+    return LlrTable(np.where(both, np.clip(llr, -l_max, l_max), one_bit).T)

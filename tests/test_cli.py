@@ -68,8 +68,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_unknown_cis_key_exits_2(tmp_path, capsys):
-    # rho is not a search knob, and j_levels belongs at the top level
-    for key, value in (("rho", 1e-9), ("j_levels", 9)):
+    # rho and uniform_init are not search knobs, and j_levels belongs at
+    # the top level
+    for key, value in (("rho", 1e-9), ("uniform_init", False), ("j_levels", 9)):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n_pe": 8000.0, "cis": {key: value}}))
         rc = main(["optimize", "--config", str(cfg)])
@@ -116,8 +117,7 @@ def test_non_finite_thresholds_file_exits_2(tmp_path, capsys):
 
 def test_config_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"source": "hard", "pe_list": "15000",
-                               "t_list": "0", "frames": 5, "j_levels": 6}))
+    cfg.write_text(json.dumps({"pe_list": "15000", "t_list": "0", "j_levels": 6}))
     out1 = tmp_path / "a.csv"
     rc = main(["ccr", "--config", str(cfg), "--pe-list", "9000",
                "--out", str(out1)])
@@ -277,10 +277,10 @@ def test_non_finite_n_pe_exits_2(capsys):
 
 @pytest.mark.parametrize("command, config, message", [
     ("optimize", {"n_pe": None}, "n_pe"),
-    ("ccr", {"frames": [3]}, "frames"),
+    ("fer", {"frames": [3]}, "frames"),
     ("train", {"lr": None}, "lr"),
     ("optimize", {"j_levels": 6.7}, "j_levels"),
-    ("ccr", {"frames": 2.9}, "frames"),
+    ("fer", {"frames": 2.9}, "frames"),
     ("optimize", {"seed": True}, "seed"),
     ("optimize", {"out": True}, "out"),
     ("optimize", {"history_out": 7}, "history_out"),
@@ -316,17 +316,16 @@ def test_list_keys_take_json_lists_and_comma_strings():
 
 # The CLI surface: every flag of every subcommand and every config key it
 # accepts.  Adding, dropping or renaming one is a user-visible change.
-_SWEEP_FLAGS = {"--code", "--code-list", "--code-seed", "--frames", "--i-max",
-                "--j-levels", "--j-list", "--max-frame-errors", "--model-file",
-                "--out", "--params-file", "--pe-list", "--rate-eps",
-                "--refresh-interval", "--seed", "--source", "--t-list",
-                "--thresholds-file"}
+_SWEEP_FLAGS = {"--code", "--j-levels", "--out", "--params-file", "--pe-list",
+                "--seed", "--t-list"}
+_READ_FLAGS = _SWEEP_FLAGS | {"--code-seed", "--frames", "--i-max", "--model-file",
+                              "--source", "--thresholds-file"}
 SURFACE_FLAGS = {
     "optimize": {"--block-n", "--history-out", "--j-levels", "--method", "--n-pe",
                  "--out", "--params-file", "--rate", "--seed", "--t-ret"},
-    "fer": _SWEEP_FLAGS,
-    "ccr": _SWEEP_FLAGS,
-    "pipeline": _SWEEP_FLAGS,
+    "fer": _READ_FLAGS | {"--max-frame-errors"},
+    "ccr": _SWEEP_FLAGS | {"--code-list", "--j-list", "--rate-eps"},
+    "pipeline": _READ_FLAGS | {"--refresh-interval"},
     "train": {"--batch", "--block-n", "--cells", "--count", "--dataset-in",
               "--dataset-out", "--epochs", "--hidden", "--j-levels", "--loss-out",
               "--lr", "--lr-final", "--model-out", "--params-file", "--pe-set",

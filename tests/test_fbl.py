@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from flashopt.channel import Condition, state_models
-from flashopt.fbl import (achievable_rate, eps_max, info_variance,
+from flashopt.fbl import (achievable_rate, eps_max, info_iu, info_variance,
                           mutual_information, q_func, q_inv, t_stat)
-from flashopt.quantizer import (DmcChannel, ThresholdSet, hard_thresholds,
-                                page_subchannel, transition_matrix)
+from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
+                                hard_thresholds, transition_matrix)
 
 
 def bsc(p):
@@ -82,12 +82,12 @@ def test_eps_max_averages_pages():
     cond = Condition(12000.0, 500.0)
     models = state_models(cond)
     d = ThresholdSet(hard_thresholds(models))
-    ch = transition_matrix(models, d)
+    w = transition_matrix(models, d).w
+    # each page's binary channel: bit b's row is the mean of its two states' rows
+    pages = w[PAGE_STATES].mean(axis=2)
+    assert np.array_equal(pages[0, 1], 0.5 * (w[0] + w[1]))  # MSB bit 1: states 0, 1
     n, rate = 2624, 0.9
-    ts = []
-    for page in ("msb", "lsb"):
-        sub = page_subchannel(ch, page=page)
-        ts.append(t_stat(n, rate, mutual_information(sub), info_variance(sub)))
+    ts = t_stat(n, rate, *info_iu(pages, np.array([0.5, 0.5])))
     got = eps_max(ts[0], ts[1])
     assert got == pytest.approx(0.5 * (q_func(ts[0]) + q_func(ts[1])), rel=1e-12)
     assert eps_max(np.inf, np.inf) == 0.0

@@ -2,11 +2,12 @@
 of the CLI's config parser over random JSON values, and of the threshold,
 model and dataset file formats and the encoder over random contents.
 
-The transition matrix, the page channels and the LLR tables are built
-from the same batch routines the threshold search runs; these checks
-hold for any operating point and any valid threshold set.
+The transition matrix and the LLR tables are built from the same batch
+routines the threshold search runs; these checks hold for any operating
+point and any valid threshold set.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,13 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from flashopt.channel import Condition, state_models
 from flashopt.cli import FIELDS
-from flashopt.fbl import info_iu, info_variance, mutual_information
+from flashopt.fbl import info_iu
 from flashopt.ldpc import PRESETS, ParityMatrix, build_code, encode, syndrome
 from flashopt.mlp import (MlpModel, Sample, load_dataset, load_model,
                           save_dataset, save_model)
 from flashopt.quantizer import (L_MAX, PAGE_STATES, ThresholdSet, input_tails,
-                                llr_table, page_subchannel, region_masses,
-                                transition_matrix)
+                                llr_table, region_masses, transition_matrix)
 
 conditions = st.builds(Condition, st.floats(0.0, 20000.0), st.floats(0.0, 1e6))
 threshold_sets = st.lists(st.floats(0.01, 6.0), min_size=1, max_size=9,
@@ -43,18 +43,16 @@ def test_transition_rows_are_distributions(cond, d):
 @given(conditions, threshold_sets)
 def test_page_information_matches_search_batch(cond, d):
     # The search takes region masses of each page bit's mean state tail;
-    # the public route averages the two states' rows of the transition
-    # matrix.  The two round the masses differently, which near-empty or
-    # near-full regions amplify, so I and U agree to 1e-12 relative, or to
-    # 1e-12 absolute (in bits, bits^2) where they are near 0.
+    # run_ccr averages the two states' rows of the transition matrix.  The
+    # two round the masses differently, which near-empty or near-full
+    # regions amplify, so I and U agree to 1e-12 relative, or to 1e-12
+    # absolute (in bits, bits^2) where they are near 0.
     models = state_models(cond)
-    ch = transition_matrix(models, d)
-    w = region_masses(input_tails(d.as_array()[None, :], models, PAGE_STATES))
-    i, u = info_iu(w, np.array([0.5, 0.5]))
-    for k, page in enumerate(("msb", "lsb")):
-        sub = page_subchannel(ch, page)
-        assert mutual_information(sub) == pytest.approx(i[k, 0], rel=1e-12, abs=1e-12)
-        assert info_variance(sub) == pytest.approx(u[k, 0], rel=1e-12, abs=1e-12)
+    half = np.array([0.5, 0.5])
+    rows = transition_matrix(models, d).w[PAGE_STATES].mean(axis=2)
+    tails = region_masses(input_tails(d.as_array()[None, :], models, PAGE_STATES))
+    for by_rows, by_tails in zip(info_iu(rows, half), info_iu(tails, half)):
+        assert by_rows == pytest.approx(by_tails[:, 0], rel=1e-12, abs=1e-12)
 
 
 @cases
@@ -64,6 +62,32 @@ def test_llr_table_finite_and_clamped(cond, d):
     assert llr.shape == (d.j_levels + 1, 2)
     assert np.all(np.isfinite(llr))
     assert np.all(np.abs(llr) <= L_MAX)
+
+
+def _llr_loop(w, l_max):
+    """Reference LLR table: one region and one page at a time."""
+    out = np.zeros((w.shape[1], 2))
+    for k in range(2):
+        num = w[PAGE_STATES[k, 1]].sum(axis=0)
+        den = w.sum(axis=0) - num
+        for j in range(w.shape[1]):
+            if num[j] <= 0.0 and den[j] <= 0.0:
+                out[j, k] = 0.0
+            elif den[j] <= 0.0:
+                out[j, k] = l_max
+            elif num[j] <= 0.0:
+                out[j, k] = -l_max
+            else:
+                out[j, k] = min(max(math.log(num[j] / den[j]), -l_max), l_max)
+    return out
+
+
+@cases
+@given(conditions, threshold_sets, st.sampled_from([2.5, L_MAX]))
+def test_llr_table_equals_loop_reference(cond, d, l_max):
+    models = state_models(cond)
+    want = _llr_loop(transition_matrix(models, d).w, l_max)
+    assert np.array_equal(llr_table(models, d, l_max).llr, want)
 
 
 json_values = st.recursive(

@@ -7,7 +7,7 @@ from scipy import integrate
 from flashopt.channel import Condition, StateModel, pdf_at, state_models
 from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
                                 gray_state, hard_thresholds, llr_table,
-                                page_subchannel, quantize, transition_matrix)
+                                quantize, transition_matrix)
 
 # state -> (msb, lsb) of the standard MLC Gray mapping
 GRAY_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
@@ -185,24 +185,3 @@ def test_llr_clamped_to_l_max():
     assert np.max(np.abs(strong.llr)) <= 30.0
     assert np.max(np.abs(strong.llr)) > 2.5
 
-
-def test_page_subchannel_rows_average_states():
-    models = state_models(Condition(7000.0, 40.0))
-    ch = transition_matrix(models, ThresholdSet(hard_thresholds(models)))
-    msb = page_subchannel(ch, page="msb")
-    assert msb.w.shape == (2, ch.n_regions)
-    assert np.allclose(msb.prior, [0.5, 0.5])
-    # row order is bit 0 then bit 1
-    expect_zero = 0.5 * (ch.w[2] + ch.w[3])
-    expect_one = 0.5 * (ch.w[0] + ch.w[1])
-    assert np.allclose(msb.w[0], expect_zero, atol=1e-12)
-    assert np.allclose(msb.w[1], expect_one, atol=1e-12)
-    lsb = page_subchannel(ch, page="lsb")
-    assert np.allclose(lsb.w[1], 0.5 * (ch.w[0] + ch.w[3]), atol=1e-12)
-
-
-def test_page_subchannel_needs_four_states():
-    two = DmcChannel(prior=np.array([0.5, 0.5]),
-                     w=np.array([[0.8, 0.2], [0.3, 0.7]]))
-    with pytest.raises(ValueError):
-        page_subchannel(two, page="msb")
