@@ -1,7 +1,9 @@
 """Network, training loop, and data-generation tests."""
 
+import hashlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from flashopt.mlp import (GenConfig, MlpModel, Sample, TrainConfig,
                           gen_training_data, histogram_features, load_dataset,
                           load_model, mse_loss, reference_thresholds,
                           save_dataset, save_model, train, xavier_model)
-from flashopt.optimizer import cis_optimize
+from flashopt.optimizer import CisConfig, cis_optimize
 from flashopt.quantizer import ThresholdSet
 
 
@@ -423,6 +425,34 @@ def test_gen_training_data_deterministic_and_valid():
         assert len(s.features) == cfg.cis.j_levels + 1
         assert abs(sum(s.features) - 1.0) < 1e-12
         assert all(0.0 < v < 1.0 for v in s.label)
+
+
+def _dataset_digest(samples) -> str:
+    values = [x for s in samples for x in (*s.features, *s.label)]
+    return hashlib.sha256(" ".join(float(x).hex() for x in values).encode()).hexdigest()
+
+
+def _pinned_dataset(scale: float, seed: int):
+    cfg = GenConfig(count=19, cis=CisConfig(grid_step=0.005), scale=scale)
+    return gen_training_data(DEFAULT_PARAMS, (4000.0, 5000.0, 6000.0), (0.0, 1e6),
+                             2000, cfg, seed=seed)
+
+
+def test_gen_training_data_is_pinned():
+    """Float-hex digests of two 19-sample datasets: at the default scale
+    every sample is kept; at scale 3.25 the top thresholds of some
+    conditions reach the scale, so those samples are skipped with a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept = _pinned_dataset(6.0, seed=0)
+    assert len(kept) == 19
+    assert _dataset_digest(kept) == ("97042c4a64d3e8e468d78ba87a6b2839"
+                                     "f7ec3dcaf67b4a457e54c60067dde629")
+    with pytest.warns(UserWarning, match="skipping sample") as record:
+        some = _pinned_dataset(3.25, seed=1)
+    assert (len(some), len(record)) == (8, 11)
+    assert _dataset_digest(some) == ("5750fadbf5b65065de3715449c53054e"
+                                     "02642eeb3cbbed791c179e7b9ecbf872")
 
 
 def test_features_shift_with_retention():
