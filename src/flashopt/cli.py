@@ -176,10 +176,12 @@ def _print_rows(rows) -> None:
 def _cmd_optimize(args) -> int:
     s, params, cis = _settings(args)
     cond = Condition(**_pick(s, "n_pe", "t_ret"))
-    seed = s.get("seed", 0)
+    seed, rate = s.get("seed", 0), s.get("rate", 0.9)
+    if not 0 < rate < 1:
+        raise ValueError("rate must lie in (0, 1)")
     if s.get("method", "cis") == "cis":
-        d, history = cis_optimize(cond, params, s.get("block_n", 2624),
-                                  s.get("rate", 0.9), cis, seed=seed)
+        d, history = cis_optimize(cond, params, s.get("block_n", 2624), rate, cis,
+                                  seed=seed)
     else:
         d, history = mmi_optimize(cond, params, cis, seed=seed), []
     if s.get("out"):

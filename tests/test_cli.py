@@ -275,6 +275,23 @@ def test_non_finite_n_pe_exits_2(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["train", "--t-hi", "inf"], "t_range must be finite"),
+    (["train", "--t-hi", "1e400"], "t_range must be finite"),
+    (["train", "--t-lo", "-1"], "t_range"),
+    (["train", "--rate", "1.5"], "rate must lie in (0, 1)"),
+    (["train", "--rate", "0"], "rate must lie in (0, 1)"),
+    (["optimize", "--n-pe", "8000", "--rate", "1.5"], "rate must lie in (0, 1)"),
+    (["optimize", "--method", "mmi", "--rate", "-0.5"], "rate must lie in (0, 1)"),
+])
+def test_out_of_range_rate_or_retention_exits_2(capsys, args, message):
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("optimize", {"n_pe": None}, "n_pe"),
     ("fer", {"frames": [3]}, "frames"),

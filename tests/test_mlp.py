@@ -1,6 +1,7 @@
 """Network, training loop, and data-generation tests."""
 
 import hashlib
+import math
 import re
 import struct
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flashopt import mlp
+from flashopt import mlp, optimizer
 from flashopt.channel import DEFAULT_PARAMS, Condition, sample_wordline
 from flashopt.mlp import (GenConfig, MlpModel, Sample, TrainConfig,
                           adam_step_inplace, backprop, forward,
@@ -195,7 +196,8 @@ def test_train_config_validation():
     for bad in ({"epochs": 2.5}, {"batch": True}, {"lr": None}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
-    for bad in ({"count": True}, {"block_n": 2624.0}, {"rate": "0.9"}):
+    for bad in ({"count": True}, {"block_n": 2624.0}, {"rate": "0.9"},
+                {"rate": 0.0}, {"rate": 1.0}, {"rate": 1.5}, {"rate": float("nan")}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             GenConfig(**bad)
 
@@ -453,6 +455,36 @@ def test_gen_training_data_is_pinned():
     assert (len(some), len(record)) == (8, 11)
     assert _dataset_digest(some) == ("5750fadbf5b65065de3715449c53054e"
                                      "02642eeb3cbbed791c179e7b9ecbf872")
+
+
+def test_gen_training_data_designs_labels_in_blocks(monkeypatch):
+    """One cis_optimize call per reference and per sample, through the
+    module's name, and one lockstep batch per block of 8 labels."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("block"))
+        return cis_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "cis_optimize", spy)
+    pe_set = (4000.0, 6000.0)
+    optimizer._block_designs.cache_clear()
+    samples = gen_training_data(DEFAULT_PARAMS, pe_set, (0.0, 1e5), 500,
+                                GenConfig(count=19), seed=4)
+    assert len(samples) == 19
+    assert len(calls) == 19 + len(pe_set)
+    assert calls[:len(pe_set)] == [None] * len(pe_set)
+    assert [len(b) for b in calls[len(pe_set):]] == [8] * 8 + [8] * 8 + [3] * 3
+    info = optimizer._block_designs.cache_info()
+    assert (info.misses, info.hits) == (math.ceil(19 / 8), 19 - math.ceil(19 / 8))
+
+
+@pytest.mark.parametrize("t_range", [(0.0, float("inf")), (0.0, 1e400),
+                                     (float("nan"), 1e4), (-1.0, 1e4), (1e4, 1e4)])
+def test_gen_training_data_rejects_bad_t_range_before_searching(monkeypatch, t_range):
+    monkeypatch.setattr(mlp, "cis_optimize", None)  # any search would fail
+    with pytest.raises(ValueError, match="t_range"):
+        gen_training_data(DEFAULT_PARAMS, (6000.0,), t_range, 100, GenConfig(count=2))
 
 
 def test_features_shift_with_retention():

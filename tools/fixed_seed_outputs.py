@@ -12,6 +12,7 @@ running this script on both commits and comparing the two directories:
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -31,6 +32,13 @@ PIPELINE_POINTS = ["--pe-list", "4000,6000", "--t-list", "100,1e5", "--frames", 
 
 def runs(out: Path):
     """(name, argv) in run order; later runs read earlier runs' files."""
+    fine = out / "grid-0.005.json"
+    fine.write_text(json.dumps({"cis": {"grid_step": 0.005}}))
+    # criterion 7's wear levels and grid: two full blocks of labels and a
+    # partial one
+    yield "train-blocks", ["train", "--config", fine, "--count", "20", "--cells", "2000",
+                           "--pe-set", "4000,5000,6000", "--epochs", "2", "--batch", "10",
+                           "--dataset-out", out / "train-blocks.dataset.csv"]
     yield "train", ["train", "--count", "12", "--cells", "5000",
                     "--pe-set", "4000,6000,15000,17000", "--t-lo", "0", "--t-hi", "1e5",
                     "--epochs", "300", "--batch", "5", "--lr", "1e-3", "--lr-final", "1e-4",
