@@ -149,8 +149,13 @@ def quantize(v, d: ThresholdSet):
     The leftmost region extends to -inf so retention-shifted negative
     samples stay representable; a sample exactly at d_j belongs to region j.
     """
-    edges = d.as_array()
-    out = np.searchsorted(edges, np.asarray(v, dtype=float), side="right")
+    v = np.asarray(v, dtype=float)
+    # counts the thresholds at or below v (NaN lies above all of them), as
+    # np.searchsorted(side="right") does, in one pass per threshold: on a
+    # 100 k-cell wordline several times faster than a binary search per reading
+    out = np.zeros(v.shape, dtype=np.intp)
+    for edge in d.d:
+        out += ~(v < edge)
     return out if out.ndim else int(out)
 
 

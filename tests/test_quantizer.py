@@ -53,6 +53,20 @@ def test_quantize_region_semantics():
     assert np.array_equal(out, [0, 1, 2, 3])
 
 
+@pytest.mark.parametrize("j_levels", [1, 3, 6, 9, 15])
+def test_quantize_equals_searchsorted(j_levels):
+    rng = np.random.default_rng(j_levels)
+    d = ThresholdSet(tuple(np.sort(rng.choice(np.arange(1, 500), j_levels, replace=False))
+                           / 100.0))
+    edges = d.as_array()
+    v = np.concatenate([rng.normal(2.5, 1.5, 5000), edges, np.nextafter(edges, -np.inf),
+                        [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+    expect = np.searchsorted(edges, v, side="right")
+    assert np.array_equal(quantize(v, d), expect)
+    assert [quantize(x, d) for x in v[-60:]] == expect[-60:].tolist()
+    assert np.array_equal(quantize(v[:5000].reshape(-1, 5), d), expect[:5000].reshape(-1, 5))
+
+
 def test_transition_matrix_matches_quadrature():
     models = state_models(Condition(9000.0, 300.0))
     d = ThresholdSet((1.8, 2.2, 2.6, 2.9, 3.2, 3.5))
