@@ -8,10 +8,8 @@ protograph LDPC Monte-Carlo harness.
 """
 
 from .channel import (Condition, DEFAULT_PARAMS, FlashParams, StateModel,
-                      sample_voltage, sample_wordline, state_model,
-                      state_models)
-from .fbl import (achievable_rate, eps_max, info_variance, mutual_information,
-                  q_func, q_inv, t_stat)
+                      sample_wordline, state_model, state_models)
+from .fbl import achievable_rate, eps_max, q_func, q_inv, t_stat
 from .harness import (ExperimentConfig, PipelineStats, cp_interval, run_ccr,
                       run_fer, run_pipeline)
 from .ldpc import LdpcCode, ParityMatrix, PRESETS, build_code, encode, sp_decode
@@ -31,9 +29,8 @@ __all__ = [
     "StateModel", "ThresholdSet", "TrainConfig", "achievable_rate",
     "build_code", "cis_optimize", "cp_interval", "encode", "eps_max",
     "forward", "gen_training_data", "hard_thresholds", "histogram_features",
-    "info_variance", "llr_table", "load_model", "mmi_optimize",
-    "mutual_information", "q_func", "q_inv", "quantize",
-    "run_ccr", "run_fer", "run_pipeline", "sample_voltage", "sample_wordline",
+    "llr_table", "load_model", "mmi_optimize", "q_func", "q_inv", "quantize",
+    "run_ccr", "run_fer", "run_pipeline", "sample_wordline",
     "save_model", "sp_decode", "state_model", "state_models", "t_stat",
     "train", "transition_matrix",
 ]

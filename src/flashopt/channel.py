@@ -192,15 +192,6 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_voltage(state: int, cond: Condition, params: FlashParams = DEFAULT_PARAMS,
-                   rng=0, size=None):
-    """Draw readback voltage(s) for cells programmed to ``state``."""
-    m = state_model(state, cond, params)
-    rng = _as_rng(rng)
-    out = m.mu + m.sigma * rng.standard_normal(size)
-    return out
-
-
 def sample_wordline(states, cond: Condition, params: FlashParams = DEFAULT_PARAMS, rng=0):
     """Vectorized draw: one voltage per entry of the state array ``states``."""
     states = np.asarray(states)

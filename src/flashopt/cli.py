@@ -3,19 +3,20 @@
 Every subcommand reads an optional JSON config file and applies explicit
 flags on top, so a sweep can live in version control while one-off runs
 tweak a field or two.  All errors exit with status 2 and a message on
-stderr; outputs land wherever --out points.
+stderr; outputs land wherever --out points.  The sweeps return their rows,
+and this module writes them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from typing import NamedTuple
 
 from .channel import Condition, FlashParams
-from .harness import (ExperimentConfig, SOURCES, _write_csv, run_ccr, run_fer,
-                      run_pipeline)
+from .harness import ExperimentConfig, SOURCES, run_ccr, run_fer, run_pipeline
 from .ldpc import PRESETS
 from .mlp import (GenConfig, TrainConfig, gen_training_data, load_dataset,
                   save_dataset, save_model, train)
@@ -142,7 +143,9 @@ def _pop_cis(settings: dict) -> CisConfig:
     raw = settings.pop("cis", {})
     # j_levels is a top-level option, so it is not accepted here
     _check_keys(raw, set(CisConfig.__dataclass_fields__) - {"j_levels"}, "cis")
-    return CisConfig(**raw, **_pick(settings, "j_levels"))
+    if "j_levels" in settings:
+        raw["j_levels"] = settings.pop("j_levels")
+    return CisConfig(**raw)
 
 
 def _settings(args):
@@ -161,6 +164,20 @@ def _settings(args):
                   if key in fields and val is not None)
     settings = {key: fields[key].parse(val) for key, val in merged.items()}
     return settings, _pop_params(settings), _pop_cis(settings)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+
+
+def _write_table(path, rows) -> None:
+    """Row dicts to ``path``, if set; their keys are the header."""
+    if path:
+        _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def _print_rows(rows) -> None:
@@ -194,23 +211,34 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _experiment_config(args, **defaults) -> ExperimentConfig:
+def _experiment_config(args, **defaults):
+    """The sweep's config and its --out path (None if unset)."""
     s, params, cis = _settings(args)
-    return ExperimentConfig(params=params, cis=cis, **{**defaults, **s})
+    out = s.pop("out", None)
+    return ExperimentConfig(params=params, cis=cis, **{**defaults, **s}), out
 
 
 def _cmd_fer(args) -> int:
-    _print_rows(run_fer(_experiment_config(args)))
+    cfg, out = _experiment_config(args)
+    rows = run_fer(cfg)
+    _write_table(out, rows)
+    _print_rows(rows)
     return 0
 
 
 def _cmd_ccr(args) -> int:
-    _print_rows(run_ccr(_experiment_config(args)))
+    cfg, out = _experiment_config(args)
+    rows = run_ccr(cfg)
+    _write_table(out, rows)
+    _print_rows(rows)
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    results = run_pipeline(_experiment_config(args, source="cis-t0"))
+    cfg, out = _experiment_config(args, source="cis-t0")
+    results = run_pipeline(cfg)
+    _write_table(out, [{**stats.row(cond), "first_pass_fer": stats.first_pass_fer,
+                        "final_fer": stats.final_fer} for cond, stats in results])
     _print_rows([stats.row(cond) for cond, stats in results])
     return 0
 

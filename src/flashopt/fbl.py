@@ -11,10 +11,9 @@ All rates and information quantities here are in bits (base-2 logs),
 matching code rates expressed in information bits per channel bit.
 
 The arithmetic works on whole batches of channels: the threshold search
-evaluates thousands of candidate channels at once, and the single-channel
-functions are batches of one.  A batch of channels is an array of input
-masses in regions, (C, X, ..., R): C channels, X inputs, any batch axes,
-R regions.
+evaluates thousands of candidate channels at once, and one channel is a
+batch of one.  A batch of channels is an array of input masses in
+regions, (C, X, ..., R): C channels, X inputs, any batch axes, R regions.
 """
 
 from __future__ import annotations
@@ -68,16 +67,6 @@ def iu_from_sums(sums):
 def info_iu(w, prior):
     """I and U of each channel from its full region masses (C, X, ..., R)."""
     return iu_from_sums(region_terms(w, prior).sum(axis=-1))
-
-
-def mutual_information(ch) -> float:
-    """I(P, W) in bits of a DmcChannel."""
-    return float(info_iu(ch.w[None], ch.prior)[0][0])
-
-
-def info_variance(ch) -> float:
-    """Unconditional information variance U(P, W) in bits squared."""
-    return float(info_iu(ch.w[None], ch.prior)[1][0])
 
 
 def t_stat(n: int, rate: float, i, u):

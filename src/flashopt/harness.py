@@ -15,12 +15,11 @@ differ.  Sweep rows are dicts whose keys are the CSV header.
 
 All randomness is keyed by (seed, point, frame) so any row of a sweep
 can be reproduced in isolation and runs are byte-identical across
-machines.  Output CSVs carry no timestamps for the same reason.
+machines.  The drivers write no files; the CLI writes their rows.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +43,6 @@ class ExperimentConfig:
 
     code: str = "2k-qc"
     source: str = "cis"
-    j_levels: int = 6
     pe_list: tuple = (15000.0,)
     t_list: tuple = (0.0,)
     frames: int = 2000
@@ -56,14 +54,13 @@ class ExperimentConfig:
     refresh_interval: int = 1000
     thresholds_file: str | None = None
     model_file: str | None = None
-    out: str | None = None
     code_list: tuple = ()
     j_list: tuple = ()
     params: FlashParams = field(default_factory=FlashParams)
     cis: CisConfig = field(default_factory=CisConfig)
 
     def __post_init__(self):
-        check_numbers(self, ("j_levels", "frames", "i_max", "seed", "code_seed",
+        check_numbers(self, ("frames", "i_max", "seed", "code_seed",
                              "max_frame_errors", "refresh_interval"), integral=True)
         check_numbers(self, ("rate_eps",))
         if self.source not in SOURCES:
@@ -79,8 +76,6 @@ class ExperimentConfig:
             raise ValueError("rate_eps must lie in (0, 1)")
         if self.refresh_interval < 0:
             raise ValueError("refresh_interval must be >= 0 (0 disables)")
-        if self.cis.j_levels != self.j_levels:
-            object.__setattr__(self, "cis", replace(self.cis, j_levels=self.j_levels))
 
 
 @dataclass(frozen=True)
@@ -119,20 +114,6 @@ def cp_interval(errors: int, trials: int, conf: float = 0.95):
     return lo, hi
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-
-
-def _write_table(path, rows) -> None:
-    """A sweep's row dicts to ``path``, if set; their keys are the header."""
-    if path:
-        _write_csv(path, list(rows[0]), (row.values() for row in rows))
-
-
 def _repair_increasing(values: np.ndarray) -> np.ndarray:
     """Force a strictly increasing positive sequence (defensive nudge)."""
     out = np.sort(np.asarray(values, dtype=float))
@@ -163,7 +144,7 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
     """Thresholds for one sweep point according to cfg.source.
 
     The "hard" source always yields the three pairwise-crossing levels
-    regardless of cfg.j_levels.  "cis-t0" returns ``ref``, the wear
+    regardless of cfg.cis.j_levels.  "cis-t0" returns ``ref``, the wear
     level's zero-retention thresholds, and searches for them only when
     none is passed.  The "dnn" source featurizes `features` (readback
     voltages are not available here, so callers supply the histogram)
@@ -191,8 +172,9 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
 def _load_model_if_needed(cfg: ExperimentConfig, model):
     if model is None and cfg.model_file is not None:
         model = load_model(cfg.model_file)
-    if model is not None and model.n_outputs != cfg.j_levels:
-        raise ValueError(f"model gives {model.n_outputs} thresholds; j_levels is {cfg.j_levels}")
+    if model is not None and model.n_outputs != cfg.cis.j_levels:
+        raise ValueError(f"model gives {model.n_outputs} thresholds; "
+                         f"j_levels is {cfg.cis.j_levels}")
     return model
 
 
@@ -270,7 +252,6 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
                      "n_pe": float(cond.n_pe), "t_ret": float(cond.t_ret),
                      "frames": frame + 1, "errors": errors,
                      "fer": errors / (frame + 1)})
-    _write_table(cfg.out, rows)
     return rows
 
 
@@ -284,7 +265,7 @@ def run_ccr(cfg: ExperimentConfig):
     blocklength and rate enter the calculation.
     """
     codes = cfg.code_list or (cfg.code,)
-    j_values = cfg.j_list or (cfg.j_levels,)
+    j_values = cfg.j_list or (cfg.cis.j_levels,)
     rows = []
     for code_name in codes:
         spec = PRESETS[code_name]
@@ -299,7 +280,6 @@ def run_ccr(cfg: ExperimentConfig):
                 rows.append({"code": code_name, "j_levels": j,
                              "n_pe": float(cond.n_pe), "t_ret": float(cond.t_ret),
                              "n": spec.n, "rate": np.mean(rates)})
-    _write_table(cfg.out, rows)
     return rows
 
 
@@ -348,6 +328,4 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
                                             first_pass_failures=first_fail,
                                             dnn_invocations=invocations,
                                             bad_blocks=bad)))
-    _write_table(cfg.out, [{**stats.row(cond), "first_pass_fer": stats.first_pass_fer,
-                            "final_fer": stats.final_fer} for cond, stats in results])
     return results

@@ -32,6 +32,9 @@ from .quantizer import ThresholdSet, quantize
 THRESHOLD_SCALE = 6.0  # volts; labels are divided by this for training
 DEFAULT_HIDDEN = (512, 256, 128)
 
+# Adam's moment decay rates and denominator guard: the usual defaults
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 # labels designed per lockstep CIS batch: the time per label levels off
 # near 8 (about half of one search alone at grid 0.005) while the batch's
 # memory keeps growing with its size
@@ -99,18 +102,13 @@ class TrainConfig:
     lr: float = 1e-5
     epochs: int = 100_000
     batch: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_final: float = 0.0  # >0 enables cosine decay from lr down to this
 
     def __post_init__(self):
         check_numbers(self, ("epochs", "batch"), integral=True)
-        check_numbers(self, ("lr", "beta1", "beta2", "adam_eps", "lr_final"))
+        check_numbers(self, ("lr", "lr_final"))
         if self.lr <= 0 or self.epochs < 1 or self.batch < 1:
             raise ValueError("lr, epochs, and batch must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not 0.0 <= self.lr_final <= self.lr:
             raise ValueError("lr_final must lie in [0, lr]")
 
@@ -271,13 +269,12 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
                 lr = cfg.lr_final + (cfg.lr - cfg.lr_final) * frac
             else:
                 lr = cfg.lr
-            adam_step_inplace(model, gw, gb, state, cfg, lr)
+            adam_step_inplace(model, gw, gb, state, lr)
         losses.append(float(np.mean(epoch_losses)))
     return model, losses
 
 
-def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig,
-                      lr: float):
+def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, lr: float):
     """One Adam update of the model's parameters at learning rate ``lr``.
 
     ``state`` starts empty and is mutated: it holds the step count and, per
@@ -291,15 +288,15 @@ def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, cfg: TrainConfig
         state.update({k: [np.zeros_like(p) for p in params] for k in "mvsr"}, step=0)
     state["step"] += 1
     t = state["step"]
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
+    c1 = 1.0 - _BETA1**t
+    c2 = 1.0 - _BETA2**t
     for p, g, m, v, s, r in zip(params, [*grads_w, *grads_b], *(state[k] for k in "mvsr")):
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=s)
-        v *= cfg.beta2
-        v += np.multiply(np.multiply(1.0 - cfg.beta2, g, out=s), g, out=s)
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, g, out=s)
+        v *= _BETA2
+        v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
         np.multiply(lr, np.divide(m, c1, out=s), out=s)
-        np.add(np.sqrt(np.divide(v, c2, out=r), out=r), cfg.adam_eps, out=r)
+        np.add(np.sqrt(np.divide(v, c2, out=r), out=r), _ADAM_EPS, out=r)
         p -= np.divide(s, r, out=s)
 
 
@@ -380,11 +377,10 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
         for cond, feats in part:
             d_opt, _ = cis_optimize(cond, params, cfg.block_n, cfg.rate, cfg.cis,
                                     seed=0, block=block)
-            label = d_opt.as_array() / cfg.scale
-            if np.any(label <= 0) or np.any(label >= 1) or not np.all(np.diff(label) > 0):
+            try:
+                samples.append(Sample(tuple(feats), tuple(d_opt.as_array() / cfg.scale)))
+            except ValueError:
                 warnings.warn(f"skipping sample at {cond}: labels outside the unit range")
-                continue
-            samples.append(Sample(features=tuple(feats), label=tuple(label)))
     return samples
 
 

@@ -13,8 +13,7 @@ from scipy import integrate
 
 from flashopt.channel import (Condition, DEFAULT_PARAMS, FlashParams,
                               StateModel, drn_params, pdf_at, rtn_sigma,
-                              sample_voltage, sample_wordline, state_model,
-                              state_models)
+                              sample_wordline, state_model, state_models)
 
 
 def test_default_parameter_values():
@@ -134,7 +133,7 @@ def test_pdf_normalizes():
 def test_sampling_moments_match_model():
     cond = Condition(10000.0, 1000.0)
     m = state_model(3, cond)
-    v = sample_voltage(3, cond, rng=7, size=200_000)
+    v = sample_wordline(np.full(200_000, 3), cond, rng=7)
     assert np.mean(v) == pytest.approx(m.mu, abs=5 * m.sigma / np.sqrt(v.size))
     assert np.std(v) == pytest.approx(m.sigma, rel=0.01)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from flashopt.harness import (ExperimentConfig, PipelineStats, cp_interval,
                               predict_thresholds, resolve_thresholds, run_ccr,
                               run_fer, run_pipeline, _repair_increasing)
 from flashopt.mlp import MlpModel
-from flashopt.optimizer import cis_optimize
+from flashopt.optimizer import CisConfig, cis_optimize
 from flashopt.quantizer import ThresholdSet, hard_thresholds
 from flashopt.channel import state_models
 
@@ -103,15 +104,25 @@ def test_experiment_config_validation():
         ExperimentConfig(pe_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(rate_eps=1.5)
-    for bad in ({"frames": 2.5}, {"seed": True}, {"j_levels": "6"},
-                {"rate_eps": None}):
+    for bad in ({"frames": 2.5}, {"seed": True}, {"rate_eps": None}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match="j_levels"):
+        CisConfig(j_levels="6")
     for bad in ({"code": "5k"}, {"code_list": ("2k-qc", "5k")}):
         with pytest.raises(ValueError, match="unknown code '5k'"):
             ExperimentConfig(**bad)
-    cfg = ExperimentConfig(j_levels=9)
-    assert cfg.cis.j_levels == 9
+
+
+def test_sweeps_design_with_the_cis_j_levels():
+    # J has one owner, cfg.cis: a sweep designs, and checks a model, with it
+    cfg = ExperimentConfig(cis=CisConfig(j_levels=9))
+    assert [row["j_levels"] for row in run_ccr(cfg)] == [9]
+    d = resolve_thresholds(cfg, Condition(15000.0, 0.0), 2624, 0.9)
+    assert d.j_levels == 9
+    six = constant_model(ThresholdSet((1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), n_inputs=10)
+    with pytest.raises(ValueError, match="j_levels is 9"):
+        run_fer(replace(cfg, source="dnn", frames=1), model=six)
 
 
 def test_repair_increasing():
@@ -150,15 +161,12 @@ def test_predict_thresholds_dimension_mismatch():
         predict_thresholds(model, np.full(7, 1.0 / 7.0))
 
 
-def test_run_fer_deterministic_and_csv_stable(tmp_path):
+def test_run_fer_deterministic():
     cfg = ExperimentConfig(source="hard", pe_list=(15000.0,), t_list=(10.0,),
-                           frames=12, seed=4, out=str(tmp_path / "a.csv"))
+                           frames=12, seed=4)
     rows_a = run_fer(cfg)
-    cfg_b = ExperimentConfig(source="hard", pe_list=(15000.0,), t_list=(10.0,),
-                             frames=12, seed=4, out=str(tmp_path / "b.csv"))
-    rows_b = run_fer(cfg_b)
+    rows_b = run_fer(cfg)
     assert rows_a == rows_b
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     row = rows_a[0]
     assert row["frames"] == 12
     assert 0.0 <= row["fer"] <= 1.0
@@ -184,21 +192,16 @@ def test_run_fer_dnn_source_uses_model():
         run_fer(ExperimentConfig(source="dnn", frames=2))
 
 
-def test_run_ccr_rows_and_determinism(tmp_path):
+def test_run_ccr_rows_and_determinism():
     cfg = ExperimentConfig(code_list=("2k-qc", "4k-qc"), j_list=(6,),
-                           pe_list=(8000.0,), t_list=(0.0,),
-                           out=str(tmp_path / "c.csv"))
+                           pe_list=(8000.0,), t_list=(0.0,))
     rows = run_ccr(cfg)
     assert len(rows) == 2
     for row in rows:
         assert 0.0 < row["rate"] < 1.0
     by_code = {r["code"]: r["rate"] for r in rows}
     assert by_code["4k-qc"] > by_code["2k-qc"]
-    cfg2 = ExperimentConfig(code_list=("2k-qc", "4k-qc"), j_list=(6,),
-                            pe_list=(8000.0,), t_list=(0.0,),
-                            out=str(tmp_path / "d.csv"))
-    run_ccr(cfg2)
-    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+    assert run_ccr(cfg) == rows
 
 
 def test_run_ccr_batches_equal_per_condition_designs(monkeypatch):

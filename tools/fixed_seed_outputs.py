@@ -60,11 +60,17 @@ def runs(out: Path):
     yield "ccr", ["ccr", "--code-list", "2k-qc,4k-qc", "--j-list", "6,9",
                   "--pe-list", "8000,12000,16000", "--t-list", "0,1000,100000",
                   "--out", out / "ccr.csv"]
+    # J set only through the single-value key
+    yield "ccr-j3-4k-qc", ["ccr", "--code", "4k-qc", "--j-levels", "3",
+                           "--pe-list", "8000,16000", "--t-list", "0,1000",
+                           "--out", out / "ccr-j3-4k-qc.csv"]
     for source in ("hard", "mmi", "cis", "cis-t0", "dnn", "file"):
         yield f"fer-{source}", ["fer", "--source", source, *FER_POINTS,
                                 "--thresholds-file", out / "optimize-cis.txt",
                                 "--model-file", out / "train.model.bin",
                                 "--out", out / f"fer-{source}.csv"]
+    yield "fer-cis-j9", ["fer", "--source", "cis", "--j-levels", "9", *FER_POINTS,
+                         "--out", out / "fer-cis-j9.csv"]
     yield "fer-cis-4k-qc", ["fer", "--source", "cis", "--code", "4k-qc", *FER_POINTS,
                             "--out", out / "fer-cis-4k-qc.csv"]
     yield "fer-hard-2k-random", ["fer", "--source", "hard", "--code", "2k-random",
