@@ -128,6 +128,19 @@ def test_preset_matrix_is_pinned(name, seed, digest):
     assert hashlib.sha256(blob).hexdigest().startswith(digest)
 
 
+@pytest.mark.parametrize("name, seed, digest", [
+    ("2k-qc", 0, "cf144b4aefa2a176"), ("2k-qc", 1, "5a228972d14c7955"),
+    ("4k-qc", 0, "ea6178a5ba2c95d5"), ("4k-qc", 1, "c485fc3861d9aa50"),
+    ("2k-random", 0, "78cd223cf0f7da29"), ("2k-random", 1, "3013e486165eedff"),
+])
+def test_preset_encoder_tables_are_pinned(name, seed, digest):
+    code = build_code(name, seed=seed)
+    assert code.parity_map.shape == (code.rank, -(-code.info_len // 8))
+    blob = (code.pivot_cols.astype("<i8").tobytes() + code.free_cols.astype("<i8").tobytes()
+            + code.parity_map.astype(np.uint8).tobytes())
+    assert hashlib.sha256(blob).hexdigest().startswith(digest)
+
+
 def test_qc_presets_free_of_four_cycles():
     # overlap of any two rows of H must be at most one column; the QC shift
     # table and the PEG edge test each avoid four-cycles their own way, and
