@@ -163,6 +163,9 @@ def _settings(args):
     merged.update((key, val) for key, val in vars(args).items()
                   if key in fields and val is not None)
     settings = {key: fields[key].parse(val) for key, val in merged.items()}
+    for one, many in (("code", "code_list"), ("j_levels", "j_list")):
+        if one in settings and many in settings:
+            raise ValueError(f"give {one} or {many}, not both")
     return settings, _pop_params(settings), _pop_cis(settings)
 
 

@@ -165,7 +165,9 @@ def _qc_shift_table(pattern: np.ndarray, z: int, rng) -> np.ndarray | None:
             r2 = np.flatnonzero(shifts[:, c] >= 0)  # rows of column c set so far
             closing = (shifts[r, :c] - shifts[r2, :c] + shifts[r2, c, None]) % z
             order = rng.permutation(z)
-            free = order[~np.isin(order, closing[pattern[r, :c] & pattern[r2, :c]])]
+            barred = np.zeros(z, dtype=bool)
+            barred[closing[pattern[r, :c] & pattern[r2, :c]]] = True
+            free = order[~barred[order]]
             if free.size == 0:
                 return None
             shifts[r, c] = free[0]
@@ -226,27 +228,33 @@ def _build_peg(spec: CodeSpec, rng) -> ParityMatrix | None:
 
 # -- encoding ----------------------------------------------------------------
 
-def _gf2_rref(h: np.ndarray):
-    """In-place reduced row echelon over GF(2); returns pivot columns."""
-    m, n = h.shape
+def _gf2_rref(pm: ParityMatrix):
+    """Reduced row echelon form of H over GF(2), rows packed 64 columns to a
+    word (column c is bit c % 64 of word c // 64); returns (rows, pivots)."""
+    m, n = pm.n_rows, pm.n_cols
+    rows = np.zeros((m, -(-n // 64)), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), (pm.edge_var & 63).astype(np.uint64))
+    np.bitwise_or.at(rows, (pm.edge_check, pm.edge_var >> 6), bit)
     pivots = []
     r = 0
     for c in range(n):
-        if r == m:
-            break
-        hit = np.nonzero(h[r:, c])[0]
+        word, mask = c >> 6, np.uint64(1 << (c & 63))
+        hit = np.flatnonzero(rows[r:, word] & mask)
         if hit.size == 0:
             continue
         pr = r + int(hit[0])
         if pr != r:
-            h[[r, pr]] = h[[pr, r]]
-        others = np.nonzero(h[:, c])[0]
+            rows[[r, pr]] = rows[[pr, r]]
+        others = np.flatnonzero(rows[:, word] & mask)
         others = others[others != r]
         if others.size:
-            h[others] ^= h[r]
+            # row r is zero left of column c, so only words from c's on change
+            rows[others, word:] ^= rows[r, word:]
         pivots.append(c)
         r += 1
-    return pivots
+        if not rows[r:].any():  # the rows below the rank are all zero
+            break
+    return rows, pivots
 
 
 @dataclass(frozen=True)
@@ -275,14 +283,17 @@ class LdpcCode:
 
 def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode:
     """Attach encoder tables to an arbitrary parity matrix."""
-    work = pm.dense().copy()
-    pivots = _gf2_rref(work)
+    rows, pivots = _gf2_rref(pm)
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     mask = np.ones(pm.n_cols, dtype=bool)
     mask[pivot_cols] = False
     free_cols = np.nonzero(mask)[0]
-    parity_map = np.packbits(work[:rank][:, free_cols], axis=1)
+    parity_map = np.empty((rank, -(-free_cols.size // 8)), dtype=np.uint8)
+    for lo in range(0, rank, 64):  # 64 rows' bits unpacked at a time
+        part = rows[lo:min(lo + 64, rank)].astype("<u8").view(np.uint8)
+        bits = np.unpackbits(part, axis=1, bitorder="little")
+        parity_map[lo:lo + 64] = np.packbits(bits[:, free_cols], axis=1)
     if spec is None:
         spec = CodeSpec(name="custom", n=pm.n_cols,
                         rate=free_cols.size / pm.n_cols,

@@ -34,6 +34,9 @@ DEFAULT_HIDDEN = (512, 256, 128)
 
 # Adam's moment decay rates and denominator guard: the usual defaults
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per Adam block: a block's value, gradient, moments and two
+# scratch slices (six 256 KB slices at 2^15) fit one core's 2 MB L2 cache
+_ADAM_BLOCK = 1 << 15
 
 # labels designed per lockstep CIS batch: the time per label levels off
 # near 8 (about half of one search alone at grid 0.005) while the batch's
@@ -277,27 +280,38 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
 def adam_step_inplace(model: MlpModel, grads_w, grads_b, state, lr: float):
     """One Adam update of the model's parameters at learning rate ``lr``.
 
-    ``state`` starts empty and is mutated: it holds the step count and, per
-    parameter array (weights, then biases), the moments ``m``, ``v`` and two
-    scratch arrays ``s``, ``r``, so an update allocates no arrays.  The
-    operations follow ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in its
-    evaluation order on purpose: another order changes the weights' last bits.
+    ``state`` starts empty and is mutated: it holds the step count, the
+    moments ``m`` and ``v`` per parameter array (weights, then biases), and
+    two scratch arrays ``s``, ``r`` of one block, so an update allocates no
+    arrays.  Each parameter array is updated in blocks of ``_ADAM_BLOCK``
+    elements, which keeps a block's six slices in a core's L2 cache; every
+    operation is elementwise, so the split changes no bit.  The operations
+    follow ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in its evaluation
+    order on purpose: another order changes the weights' last bits.
     """
     params = [*model.weights, *model.biases]
     if not state:
-        state.update({k: [np.zeros_like(p) for p in params] for k in "mvsr"}, step=0)
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("parameters must be C-contiguous to be updated in place")
+        size = min(_ADAM_BLOCK, max(p.size for p in params))
+        state.update({k: [np.zeros_like(p) for p in params] for k in "mv"},
+                     s=np.empty(size), r=np.empty(size), step=0)
     state["step"] += 1
     t = state["step"]
     c1 = 1.0 - _BETA1**t
     c2 = 1.0 - _BETA2**t
-    for p, g, m, v, s, r in zip(params, [*grads_w, *grads_b], *(state[k] for k in "mvsr")):
-        m *= _BETA1
-        m += np.multiply(1.0 - _BETA1, g, out=s)
-        v *= _BETA2
-        v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
-        np.multiply(lr, np.divide(m, c1, out=s), out=s)
-        np.add(np.sqrt(np.divide(v, c2, out=r), out=r), _ADAM_EPS, out=r)
-        p -= np.divide(s, r, out=s)
+    for arrays in zip(params, [*grads_w, *grads_b], state["m"], state["v"]):
+        p, g, m, v = (a.reshape(-1) for a in arrays)
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            pb, gb, mb, vb = (a[lo:lo + _ADAM_BLOCK] for a in (p, g, m, v))
+            s, r = state["s"][:pb.size], state["r"][:pb.size]
+            mb *= _BETA1
+            mb += np.multiply(1.0 - _BETA1, gb, out=s)
+            vb *= _BETA2
+            vb += np.multiply(np.multiply(1.0 - _BETA2, gb, out=s), gb, out=s)
+            np.multiply(lr, np.divide(mb, c1, out=s), out=s)
+            np.add(np.sqrt(np.divide(vb, c2, out=r), out=r), _ADAM_EPS, out=r)
+            pb -= np.divide(s, r, out=s)
 
 
 # -- features and data generation --------------------------------------------

@@ -322,6 +322,18 @@ def test_params_with_params_file_exits_2(tmp_path, capsys):
     assert "params_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("one, many", [("code", "code_list"), ("j_levels", "j_list")])
+def test_ccr_single_key_with_its_list_key_exits_2(one, many, capsys):
+    args = {"code": "4k-qc", "code_list": "2k-qc", "j_levels": "3", "j_list": "6"}
+    argv = ["ccr", "--pe-list", "8000", "--t-list", "0"]
+    for key in (one, many):
+        argv += ["--" + key.replace("_", "-"), args[key]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"give {one} or {many}, not both" in captured.err
+    assert captured.out == ""
+
+
 def test_list_keys_take_json_lists_and_comma_strings():
     for key, as_list, as_text, want in (
             ("pe_list", [8000, 9000.5], "8000,9000.5", (8000.0, 9000.5)),

@@ -321,6 +321,41 @@ def test_train_matches_reference_loop_bit_for_bit():
         assert np.array_equal(got, expect)
 
 
+def test_adam_ragged_blocks_match_reference_bit_for_bit(monkeypatch):
+    # 37 divides no parameter array of the 7-40-20-6 net, and the last
+    # three biases are shorter than one block
+    monkeypatch.setattr(mlp, "_ADAM_BLOCK", 37)
+    monkeypatch.setattr(mlp, "DEFAULT_HIDDEN", (40, 20))
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.1, 1.0, (130, 7))
+    x /= x.sum(axis=1, keepdims=True)
+    y = np.sort(rng.uniform(0.05, 0.95, (130, 6)), axis=1)
+    samples = [Sample(tuple(xi), tuple(yi)) for xi, yi in zip(x, y)]
+    cfg = TrainConfig(lr=1e-3, epochs=17, batch=50, lr_final=1e-4)
+    model, losses = train(samples, cfg, seed=2)
+    ref, ref_losses = _reference_train(samples, cfg, seed=2)
+    assert losses == ref_losses
+    for got, expect in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert np.array_equal(got, expect)
+
+    model = xavier_model((7, 40, 20, 6), seed=3)
+    p0 = [p.copy() for p in model.weights + model.biases]
+    grads = [rng.normal(size=p.shape) for p in p0]
+    state = {}
+    adam_step_inplace(model, grads[:3], grads[3:], state, 0.01)
+    assert state["s"].shape == state["r"].shape == (37,)
+    for got, p, g in zip(model.weights + model.biases, p0, grads):
+        assert np.allclose(got, p - 0.01 * g / (np.abs(g) + 1e-8), atol=1e-12)
+
+
+def test_adam_rejects_parameters_it_cannot_update_in_place():
+    model = small_model()
+    model.weights[0] = np.asfortranarray(model.weights[0])
+    grads = [np.ones_like(p) for p in model.weights + model.biases]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step_inplace(model, grads[:3], grads[3:], {}, 0.01)
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         Sample((0.5, 0.4, 0.2), (0.1, 0.2))          # features sum != 1

@@ -79,6 +79,12 @@ def runs(out: Path):
                                   "--out", out / "fer-waterfall-2k-qc.csv"]
     yield "fer-waterfall-4k-qc", ["fer", *WATERFALL, "--code", "4k-qc", "--pe-list", "17000",
                                   "--out", out / "fer-waterfall-4k-qc.csv"]
+    # every other run encodes with code seed 0's builds; this one encodes
+    # with 4k-qc's seed-1 build, a few frames at one waterfall point
+    yield "fer-4k-qc-code-seed-1", ["fer", "--source", "cis", "--code", "4k-qc",
+                                    "--code-seed", "1", "--pe-list", "17000", "--t-list", "0",
+                                    "--frames", "12", "--max-frame-errors", "12",
+                                    "--out", out / "fer-4k-qc-code-seed-1.csv"]
     yield "pipeline-cis-t0", ["pipeline", "--source", "cis-t0", *PIPELINE_POINTS,
                               "--refresh-interval", "5",
                               "--model-file", out / "train.model.bin",
