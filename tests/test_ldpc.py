@@ -137,7 +137,7 @@ def test_preset_encoder_tables_are_pinned(name, seed, digest):
     code = build_code(name, seed=seed)
     assert code.parity_map.shape == (code.rank, -(-code.info_len // 8))
     blob = (code.pivot_cols.astype("<i8").tobytes() + code.free_cols.astype("<i8").tobytes()
-            + code.parity_map.astype(np.uint8).tobytes())
+            + code.parity_map.tobytes())
     assert hashlib.sha256(blob).hexdigest().startswith(digest)
 
 

@@ -326,20 +326,11 @@ def test_adam_ragged_blocks_match_reference_bit_for_bit(monkeypatch):
     # three biases are shorter than one block
     monkeypatch.setattr(mlp, "_ADAM_BLOCK", 37)
     monkeypatch.setattr(mlp, "DEFAULT_HIDDEN", (40, 20))
-    rng = np.random.default_rng(8)
-    x = rng.uniform(0.1, 1.0, (130, 7))
-    x /= x.sum(axis=1, keepdims=True)
-    y = np.sort(rng.uniform(0.05, 0.95, (130, 6)), axis=1)
-    samples = [Sample(tuple(xi), tuple(yi)) for xi, yi in zip(x, y)]
-    cfg = TrainConfig(lr=1e-3, epochs=17, batch=50, lr_final=1e-4)
-    model, losses = train(samples, cfg, seed=2)
-    ref, ref_losses = _reference_train(samples, cfg, seed=2)
-    assert losses == ref_losses
-    for got, expect in zip(model.weights + model.biases, ref.weights + ref.biases):
-        assert np.array_equal(got, expect)
+    test_train_matches_reference_loop_bit_for_bit()
 
     model = xavier_model((7, 40, 20, 6), seed=3)
     p0 = [p.copy() for p in model.weights + model.biases]
+    rng = np.random.default_rng(8)
     grads = [rng.normal(size=p.shape) for p in p0]
     state = {}
     adam_step_inplace(model, grads[:3], grads[3:], state, 0.01)
