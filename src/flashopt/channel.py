@@ -16,10 +16,9 @@ Cell-to-cell coupling from neighbouring wordlines is not modelled.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,7 @@ class FlashParams:
     """Device constants of the voltage model.
 
     Defaults describe the 2-bit MLC reference device used throughout the
-    package; load alternatives from a JSON file via :meth:`from_file`.
+    package.
     """
 
     v_target: tuple = (1.4, 2.6, 3.2, 3.93)  # verify targets per state [V]
@@ -54,7 +53,6 @@ class FlashParams:
     beta1: float = 8e-5
     alpha0: float = 0.68      # ... and exponents
     alpha1: float = 0.52
-    drn_log: str = "natural"  # retention time scaling: "natural" or "log10"
 
     def __post_init__(self):
         check_numbers(self, ("v_p", "sigma_e", "sigma_pn", "rtn_coeff", "rtn_exp",
@@ -73,27 +71,6 @@ class FlashParams:
         for name in ("sigma_e", "sigma_pn", "rtn_coeff"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.drn_log not in ("natural", "log10"):
-            raise ValueError("drn_log must be 'natural' or 'log10'")
-
-    @classmethod
-    def from_file(cls, path) -> "FlashParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown parameter(s) {sorted(unknown)}")
-        return cls(**raw)
-
-    def to_file(self, path) -> None:
-        data = asdict(self)
-        data["v_target"] = list(data["v_target"])
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -139,12 +116,6 @@ def rtn_sigma(n_pe: float, params: FlashParams = DEFAULT_PARAMS) -> float:
     return params.rtn_coeff * float(n_pe) ** params.rtn_exp
 
 
-def _log_ret(t_ret: float, params: FlashParams) -> float:
-    if params.drn_log == "log10":
-        return math.log10(1.0 + t_ret)
-    return math.log1p(t_ret)
-
-
 def drn_params(state: int, cond: Condition, params: FlashParams = DEFAULT_PARAMS):
     """Retention-loss mean shift and spread for one state, as ``(mu_r, sigma_r)``.
 
@@ -156,7 +127,7 @@ def drn_params(state: int, cond: Condition, params: FlashParams = DEFAULT_PARAMS
         raise ValueError(f"state must be in [0, {N_STATES})")
     dv = params.v_target[state] - params.v_target[0]
     wear = params.beta0 * cond.n_pe ** params.alpha0 + params.beta1 * cond.n_pe ** params.alpha1
-    mu_r = _log_ret(cond.t_ret, params) * dv * wear
+    mu_r = math.log1p(cond.t_ret) * dv * wear
     return mu_r, 0.4 * abs(mu_r)
 
 
@@ -176,14 +147,6 @@ def state_model(state: int, cond: Condition, params: FlashParams = DEFAULT_PARAM
 def state_models(cond: Condition, params: FlashParams = DEFAULT_PARAMS):
     """All four state Gaussians at the given operating point."""
     return [state_model(s, cond, params) for s in range(N_STATES)]
-
-
-def pdf_at(model: StateModel, v):
-    """Gaussian density of ``model`` evaluated at voltage(s) ``v``."""
-    v = np.asarray(v, dtype=float)
-    z = (v - model.mu) / model.sigma
-    out = np.exp(-0.5 * z * z) / (model.sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
 
 
 def _as_rng(rng) -> np.random.Generator:

@@ -129,12 +129,21 @@ def _pick(settings: dict, *keys) -> dict:
     return {key: settings[key] for key in keys if key in settings}
 
 
+def _read_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names it in errors."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
 def _pop_params(settings: dict) -> FlashParams:
+    """The ``params`` section, or the params file read as that section."""
     if "params_file" in settings:
-        if "params" in settings:
-            raise ValueError("give params or params_file, not both")
-        return FlashParams.from_file(settings.pop("params_file"))
-    raw = settings.pop("params", {})
+        raw = _read_object(settings.pop("params_file"), "params file")
+    else:
+        raw = settings.pop("params", {})
     _check_keys(raw, FlashParams.__dataclass_fields__, "params")
     return FlashParams(**raw)
 
@@ -152,20 +161,16 @@ def _settings(args):
     """The config file overridden by explicitly passed flags, each value
     parsed by its field (keys that neither sets are absent), with the
     channel parameters and the search config built from it."""
-    merged = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
-        if not isinstance(merged, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+    merged = {} if args.config is None else _read_object(args.config, "config")
     fields = {key: f for key, f in FIELDS.items() if args.command in f.commands}
     _check_keys(merged, fields, args.command)
     merged.update((key, val) for key, val in vars(args).items()
                   if key in fields and val is not None)
     settings = {key: fields[key].parse(val) for key, val in merged.items()}
-    for one, many in (("code", "code_list"), ("j_levels", "j_list")):
-        if one in settings and many in settings:
-            raise ValueError(f"give {one} or {many}, not both")
+    for one, other in (("params", "params_file"), ("code", "code_list"),
+                       ("j_levels", "j_list")):
+        if one in settings and other in settings:
+            raise ValueError(f"give {one} or {other}, not both")
     return settings, _pop_params(settings), _pop_cis(settings)
 
 
@@ -175,12 +180,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-
-
-def _write_table(path, rows) -> None:
-    """Row dicts to ``path``, if set; their keys are the header."""
-    if path:
-        _write_csv(path, list(rows[0]), (row.values() for row in rows))
 
 
 def _print_rows(rows) -> None:
@@ -214,35 +213,22 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _experiment_config(args, **defaults):
-    """The sweep's config and its --out path (None if unset)."""
+def _cmd_sweep(args) -> int:
+    """fer, ccr or pipeline: the sweep's rows to stdout and, if set, to --out."""
     s, params, cis = _settings(args)
     out = s.pop("out", None)
-    return ExperimentConfig(params=params, cis=cis, **{**defaults, **s}), out
-
-
-def _cmd_fer(args) -> int:
-    cfg, out = _experiment_config(args)
-    rows = run_fer(cfg)
-    _write_table(out, rows)
+    if args.command == "pipeline":
+        s.setdefault("source", "cis-t0")
+    cfg = ExperimentConfig(params=params, cis=cis, **s)
+    if args.command == "fer":
+        rows = run_fer(cfg)
+    elif args.command == "ccr":
+        rows = run_ccr(cfg)
+    else:
+        rows = [stats.row(cond) for cond, stats in run_pipeline(cfg)]
+    if out:
+        _write_csv(out, list(rows[0]), (row.values() for row in rows))
     _print_rows(rows)
-    return 0
-
-
-def _cmd_ccr(args) -> int:
-    cfg, out = _experiment_config(args)
-    rows = run_ccr(cfg)
-    _write_table(out, rows)
-    _print_rows(rows)
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    cfg, out = _experiment_config(args, source="cis-t0")
-    results = run_pipeline(cfg)
-    _write_table(out, [{**stats.row(cond), "first_pass_fer": stats.first_pass_fer,
-                        "final_fer": stats.final_fer} for cond, stats in results])
-    _print_rows([stats.row(cond) for cond, stats in results])
     return 0
 
 
@@ -277,9 +263,9 @@ def _cmd_train(args) -> int:
 
 _COMMANDS = {
     "optimize": (_cmd_optimize, "design thresholds for one condition"),
-    "fer": (_cmd_fer, "run the fer sweep"),
-    "ccr": (_cmd_ccr, "run the ccr sweep"),
-    "pipeline": (_cmd_pipeline, "run the pipeline sweep"),
+    "fer": (_cmd_sweep, "run the fer sweep"),
+    "ccr": (_cmd_sweep, "run the ccr sweep"),
+    "pipeline": (_cmd_sweep, "run the pipeline sweep"),
     "train": (_cmd_train, "generate data and fit the regressor"),
 }
 

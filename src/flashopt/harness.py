@@ -100,8 +100,9 @@ class PipelineStats:
         return self.bad_blocks / self.frames
 
     def row(self, cond: Condition) -> dict:
-        """The condition and the tallies, keyed by column name."""
-        return {"n_pe": cond.n_pe, "t_ret": cond.t_ret, **vars(self)}
+        """The condition, the tallies and the two FERs, keyed by column name."""
+        return {"n_pe": cond.n_pe, "t_ret": cond.t_ret, **vars(self),
+                "first_pass_fer": self.first_pass_fer, "final_fer": self.final_fer}
 
 
 def cp_interval(errors: int, trials: int, conf: float = 0.95):

@@ -75,9 +75,6 @@ class ParityMatrix:
     def col_weights(self) -> np.ndarray:
         return np.bincount(self.edge_var, minlength=self.n_cols)
 
-    def row_weights(self) -> np.ndarray:
-        return np.bincount(self.edge_check, minlength=self.n_rows)
-
     @cached_property
     def slots(self):
         """The decoder's layout (see the module docstring): each edge's flat

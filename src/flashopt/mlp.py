@@ -228,13 +228,13 @@ def _backprop(model: MlpModel, x: np.ndarray, target: np.ndarray, weight, buf=No
     return loss, buf.gw, buf.gb
 
 
-def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
-          dims=None, scale: float = THRESHOLD_SCALE):
+def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0, dims=None):
     """Train a fresh model on Samples; returns (model, per-epoch loss).
 
     Each output's labels are mapped affinely onto [0.1, 0.9] (a constant
     output onto 0.5), and the loss is the mean squared error of those
-    scaled targets.  A step allocates no arrays: it writes into buffers made
+    scaled targets.  The model carries THRESHOLD_SCALE, the scale that
+    gen_training_data divides its labels by.  A step allocates no arrays: it writes into buffers made
     once per call and into the Adam ``state`` (see adam_step_inplace).
     """
     if len(dataset) == 0:
@@ -243,7 +243,7 @@ def train(dataset, cfg: TrainConfig = TrainConfig(), seed: int = 0,
     y = np.array([s.label for s in dataset])
     if dims is None:
         dims = (x.shape[1], *DEFAULT_HIDDEN, y.shape[1])
-    model = xavier_model(dims, seed=seed, scale=scale)
+    model = xavier_model(dims, seed=seed)
     model.x_shift = x.mean(axis=0)
     sd = x.std(axis=0)
     model.x_scale = np.where(sd > 0.0, sd, 1.0)
@@ -334,11 +334,10 @@ class GenConfig:
     block_n: int = 2624          # code length the labels optimize for
     rate: float = 0.9            # and its rate
     cis: CisConfig = field(default_factory=CisConfig)
-    scale: float = THRESHOLD_SCALE
 
     def __post_init__(self):
         check_numbers(self, ("count", "block_n"), integral=True)
-        check_numbers(self, ("rate", "scale"))
+        check_numbers(self, ("rate",))
         if self.count < 1:
             raise ValueError("count must be positive")
         if not 0 < self.rate < 1:
@@ -364,8 +363,9 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
     samples: each sample still makes its own cis_optimize call, but the
     first call of a block searches all of the block's conditions in one
     lockstep batch and the other calls reuse it, with the same results as
-    one search each.  A sample whose CIS labels fall outside (0, scale) or
-    fail to order strictly is skipped with a warning, in sample order.
+    one search each.  A sample's labels are its CIS thresholds divided by
+    THRESHOLD_SCALE; a sample whose labels fall outside (0, 1) or fail to
+    order strictly is skipped with a warning, in sample order.
     """
     pe_set = list(pe_set)
     if not pe_set:
@@ -392,7 +392,7 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
             d_opt, _ = cis_optimize(cond, params, cfg.block_n, cfg.rate, cfg.cis,
                                     seed=0, block=block)
             try:
-                samples.append(Sample(tuple(feats), tuple(d_opt.as_array() / cfg.scale)))
+                samples.append(Sample(tuple(feats), tuple(d_opt.as_array() / THRESHOLD_SCALE)))
             except ValueError:
                 warnings.warn(f"skipping sample at {cond}: labels outside the unit range")
     return samples

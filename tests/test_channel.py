@@ -4,15 +4,13 @@ Frozen constants below were computed independently with mpmath at 40
 digits from the closed-form noise expressions.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from flashopt.channel import (Condition, DEFAULT_PARAMS, FlashParams,
-                              StateModel, drn_params, pdf_at, rtn_sigma,
+                              StateModel, drn_params, rtn_sigma,
                               sample_wordline, state_model, state_models)
 
 
@@ -22,7 +20,6 @@ def test_default_parameter_values():
     assert p.v_p == 0.2
     assert p.sigma_e == 0.34
     assert p.sigma_pn == 0.05
-    assert p.drn_log == "natural"
 
 
 def test_params_validation():
@@ -32,27 +29,11 @@ def test_params_validation():
         FlashParams(v_p=0.0)
     with pytest.raises(ValueError):
         FlashParams(sigma_e=-0.1)
-    with pytest.raises(ValueError):
-        FlashParams(drn_log="ln")
     for kwargs in ({"v_p": "x"}, {"sigma_e": None}, {"alpha0": True},
                    {"v_target": (1.4, "2.6", 3.2, 3.93)}, {"v_target": 5}):
         with pytest.raises(ValueError):
             FlashParams(**kwargs)
     assert FlashParams(v_target=[1.4, 2.6, 3.2, 3.93]) == DEFAULT_PARAMS
-
-
-def test_params_file_roundtrip(tmp_path):
-    p = FlashParams(v_p=0.25, sigma_e=0.3)
-    path = tmp_path / "params.json"
-    p.to_file(path)
-    assert FlashParams.from_file(path) == p
-
-
-def test_params_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps({"v_p": 0.2, "sigma_q": 1.0}))
-    with pytest.raises(ValueError, match="sigma_q"):
-        FlashParams.from_file(path)
 
 
 def test_condition_validation():
@@ -90,13 +71,6 @@ def test_drn_frozen_reference():
     assert sig_r == pytest.approx(0.103939344103, abs=1e-11)
 
 
-def test_drn_log10_rescales_shift():
-    cond = Condition(8000.0, 500.0)
-    nat = drn_params(2, cond, FlashParams(drn_log="natural"))
-    dec = drn_params(2, cond, FlashParams(drn_log="log10"))
-    assert nat[0] == pytest.approx(dec[0] * np.log(10.0), rel=1e-12)
-
-
 def test_state_models_frozen_reference():
     models = state_models(Condition(10000.0, 1000.0))
     m0, m3 = models[0], models[3]
@@ -118,16 +92,6 @@ def test_state_means_increase():
     for cond in (Condition(0, 0), Condition(8000, 100.0), Condition(15000, 1e4)):
         mus = [m.mu for m in state_models(cond)]
         assert np.all(np.diff(mus) > 0)
-
-
-def test_pdf_normalizes():
-    m = state_model(2, Condition(12000.0, 200.0))
-    total, _ = integrate.quad(lambda v: pdf_at(m, v), m.mu - 12 * m.sigma,
-                              m.mu + 12 * m.sigma)
-    assert total == pytest.approx(1.0, abs=1e-9)
-    mean, _ = integrate.quad(lambda v: v * pdf_at(m, v), m.mu - 12 * m.sigma,
-                             m.mu + 12 * m.sigma)
-    assert mean == pytest.approx(m.mu, abs=1e-9)
 
 
 def test_sampling_moments_match_model():

@@ -94,8 +94,14 @@ def test_fer_tiny_run_and_csv(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["fer", "--source", "hard", "--pe-list", "15000", "--t-list", "10", "--frames", "2"],
     ["ccr", "--pe-list", "8000", "--t-list", "0", "--j-list", "3"],
+    ["pipeline", "--source", "hard", "--j-levels", "3", "--pe-list", "15000",
+     "--t-list", "10", "--frames", "2", "--model-file"],
 ])
 def test_stdout_header_matches_csv_header(tmp_path, capsys, args):
+    if args[-1] == "--model-file":
+        model = make_constant_model(ThresholdSet((1.9, 2.8, 3.4)), n_inputs=4)
+        save_model(model, tmp_path / "m.bin")
+        args = args + [str(tmp_path / "m.bin")]
     out = tmp_path / "out.csv"
     assert main(args + ["--out", str(out)]) == 0
     stdout = capsys.readouterr().out.splitlines()
@@ -313,13 +319,50 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, mes
     assert captured.out == ""
 
 
+def test_params_file_reads_as_params_section(tmp_path, capsys):
+    params = {"sigma_e": 0.36, "v_target": [1.4, 2.6, 3.2, 3.95]}
+    params_file, cfg = tmp_path / "p.json", tmp_path / "c.json"
+    params_file.write_text(json.dumps(params))
+    cfg.write_text(json.dumps({"params": params}))
+    printed = []
+    for extra in (["--params-file", str(params_file)], ["--config", str(cfg)], []):
+        assert main(["optimize", "--n-pe", "8000", "--t-ret", "1000", *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    # the default parameters design other thresholds
+    assert printed[0] == printed[1] != printed[2]
+
+
+@pytest.mark.parametrize("route", ["params_file", "params"])
+@pytest.mark.parametrize("key", ["sigma_q", "drn_log"])
+def test_unknown_params_key_exits_2(tmp_path, capsys, route, key):
+    # "log10" was a valid drn_log before that option was dropped
+    params = {"v_p": 0.2, key: "log10"}
+    if route == "params_file":
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        argv = ["--params-file", str(tmp_path / "p.json")]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"params": params}))
+        argv = ["--config", str(tmp_path / "c.json")]
+    assert main(["optimize", "--n-pe", "8000"] + argv) == 2
+    captured = capsys.readouterr()
+    assert "unknown params option" in captured.err and key in captured.err
+    assert captured.out == ""
+
+
+def test_params_file_holding_a_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([0.2, 0.34]))
+    assert main(["optimize", "--n-pe", "8000", "--params-file", str(path)]) == 2
+    assert "params file must be a JSON object" in capsys.readouterr().err
+
+
 def test_params_with_params_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"params": {"v_p": 0.2}}))
-    DEFAULT_PARAMS.to_file(tmp_path / "p.json")
+    cfg.write_text(json.dumps({"params": {}}))
+    (tmp_path / "p.json").write_text(json.dumps({}))
     rc = main(["optimize", "--config", str(cfg), "--params-file", str(tmp_path / "p.json")])
     assert rc == 2
-    assert "params_file" in capsys.readouterr().err
+    assert "give params or params_file, not both" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("one, many", [("code", "code_list"), ("j_levels", "j_list")])

@@ -55,7 +55,7 @@ def test_dense_roundtrip_and_weights():
     pm = ParityMatrix.from_dense(h)
     assert np.array_equal(pm.dense(), h)
     assert np.array_equal(pm.col_weights(), [1, 1, 2, 1])
-    assert np.array_equal(pm.row_weights(), [3, 2])
+    assert np.array_equal(np.bincount(pm.edge_check, minlength=pm.n_rows), [3, 2])
 
 
 def test_qc_expand_hand_oracle():
@@ -344,7 +344,8 @@ def _slot_codes():
     """(name, code): no pads, row pads (two presets), row and column pads."""
     codes = [(name, build_code(name, seed=0)) for name in ("2k-qc", "4k-qc", "2k-random")]
     codes.append(("irregular", _irregular_code(11)))
-    w = [(code.h.row_weights(), code.h.col_weights()) for _, code in codes]
+    w = [(np.bincount(code.h.edge_check, minlength=code.h.n_rows), code.h.col_weights())
+         for _, code in codes]
     assert np.ptp(w[0][0]) == 0 and np.ptp(w[1][0]) > 0 and np.ptp(w[2][0]) > 0
     assert np.ptp(w[3][0]) > 0 and np.ptp(w[3][1]) > 0
     return codes

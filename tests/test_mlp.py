@@ -458,24 +458,25 @@ def _dataset_digest(samples) -> str:
     return hashlib.sha256(" ".join(float(x).hex() for x in values).encode()).hexdigest()
 
 
-def _pinned_dataset(scale: float, seed: int):
-    cfg = GenConfig(count=19, cis=CisConfig(grid_step=0.005), scale=scale)
+def _pinned_dataset(seed: int):
+    cfg = GenConfig(count=19, cis=CisConfig(grid_step=0.005))
     return gen_training_data(DEFAULT_PARAMS, (4000.0, 5000.0, 6000.0), (0.0, 1e6),
                              2000, cfg, seed=seed)
 
 
-def test_gen_training_data_is_pinned():
+def test_gen_training_data_is_pinned(monkeypatch):
     """Float-hex digests of two 19-sample datasets: at the default scale
     every sample is kept; at scale 3.25 the top thresholds of some
     conditions reach the scale, so those samples are skipped with a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kept = _pinned_dataset(6.0, seed=0)
+        kept = _pinned_dataset(seed=0)
     assert len(kept) == 19
     assert _dataset_digest(kept) == ("97042c4a64d3e8e468d78ba87a6b2839"
                                      "f7ec3dcaf67b4a457e54c60067dde629")
+    monkeypatch.setattr(mlp, "THRESHOLD_SCALE", 3.25)
     with pytest.warns(UserWarning, match="skipping sample") as record:
-        some = _pinned_dataset(3.25, seed=1)
+        some = _pinned_dataset(seed=1)
     assert (len(some), len(record)) == (8, 11)
     assert _dataset_digest(some) == ("5750fadbf5b65065de3715449c53054e"
                                      "02642eeb3cbbed791c179e7b9ecbf872")

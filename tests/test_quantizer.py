@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import norm
 
-from flashopt.channel import Condition, StateModel, pdf_at, state_models
+from flashopt.channel import Condition, StateModel, state_models
 from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
                                 gray_state, hard_thresholds, llr_table,
                                 quantize, transition_matrix)
@@ -78,7 +79,7 @@ def test_transition_matrix_matches_quadrature():
             hi = min(edges[j + 1], m.mu + 14 * m.sigma)
             expect = 0.0
             if lo < hi:
-                expect, _ = integrate.quad(lambda v: pdf_at(m, v), lo, hi)
+                expect, _ = integrate.quad(lambda v: norm.pdf(v, m.mu, m.sigma), lo, hi)
             assert ch.w[i, j] == pytest.approx(expect, abs=1e-10)
 
 
@@ -121,7 +122,7 @@ def test_hard_thresholds_match_density_scan():
     for k, t in enumerate(got):
         a, b = models[k], models[k + 1]
         grid = np.linspace(a.mu, b.mu, 200_001)[1:-1]
-        gap = np.abs(pdf_at(a, grid) - pdf_at(b, grid))
+        gap = np.abs(norm.pdf(grid, a.mu, a.sigma) - norm.pdf(grid, b.mu, b.sigma))
         best = grid[np.argmin(gap)]
         assert t == pytest.approx(best, abs=2e-5)
         assert a.mu < t < b.mu
@@ -146,7 +147,7 @@ def test_llr_table_matches_quadrature():
         hi = min(hi, m.mu + 14 * m.sigma)
         if lo >= hi:
             return 0.0
-        val, _ = integrate.quad(lambda v: pdf_at(m, v), lo, hi)
+        val, _ = integrate.quad(lambda v: norm.pdf(v, m.mu, m.sigma), lo, hi)
         return val
 
     for j in range(len(edges) - 1):

@@ -55,6 +55,11 @@ def runs(out: Path):
     yield "optimize-mmi", ["optimize", "--method", "mmi", "--n-pe", "12000",
                            "--t-ret", "1000",
                            "--history-out", out / "optimize-mmi.history.csv"]
+    params = out / "params.json"
+    params.write_text(json.dumps({"sigma_e": 0.36, "v_target": [1.4, 2.6, 3.2, 3.95]}))
+    yield "optimize-params-file", ["optimize", "--params-file", params, "--n-pe", "8000",
+                                   "--t-ret", "1000",
+                                   "--out", out / "optimize-params-file.txt"]
     # 9-condition batches per (code, J) whose points compare by eps and
     # by logit(eps)
     yield "ccr", ["ccr", "--code-list", "2k-qc,4k-qc", "--j-list", "6,9",
