@@ -217,8 +217,6 @@ def _cmd_sweep(args) -> int:
     """fer, ccr or pipeline: the sweep's rows to stdout and, if set, to --out."""
     s, params, cis = _settings(args)
     out = s.pop("out", None)
-    if args.command == "pipeline":
-        s.setdefault("source", "cis-t0")
     cfg = ExperimentConfig(params=params, cis=cis, **s)
     if args.command == "fer":
         rows = run_fer(cfg)

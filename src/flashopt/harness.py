@@ -35,14 +35,20 @@ from .quantizer import (LlrTable, PAGE_STATES, ThresholdSet, gray_state,
                         hard_thresholds, llr_table, quantize, transition_matrix)
 
 SOURCES = ("hard", "mmi", "cis", "cis-t0", "dnn", "file")
+_SEARCH = "cis"  # what source None means everywhere but in run_pipeline
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for the sweep drivers."""
+    """Shared knobs for the sweep drivers.
+
+    ``source`` None is "cis", except in run_pipeline, which starts from
+    "cis-t0".  ``code_list`` and ``j_list``, when set, replace ``code``
+    and ``cis.j_levels``, which must then keep their defaults.
+    """
 
     code: str = "2k-qc"
-    source: str = "cis"
+    source: str | None = None
     pe_list: tuple = (15000.0,)
     t_list: tuple = (0.0,)
     frames: int = 2000
@@ -63,8 +69,13 @@ class ExperimentConfig:
         check_numbers(self, ("frames", "i_max", "seed", "code_seed",
                              "max_frame_errors", "refresh_interval"), integral=True)
         check_numbers(self, ("rate_eps",))
-        if self.source not in SOURCES:
+        if self.source is not None and self.source not in SOURCES:
             raise ValueError(f"unknown threshold source {self.source!r}")
+        # a dataclass's class attributes are its fields' defaults
+        if self.code_list and self.code != ExperimentConfig.code:
+            raise ValueError("give code or code_list, not both")
+        if self.j_list and self.cis.j_levels != CisConfig.j_levels:
+            raise ValueError("give cis.j_levels or j_list, not both")
         for name in (self.code, *self.code_list):
             if name not in PRESETS:
                 raise ValueError(f"unknown code {name!r}; presets are {', '.join(PRESETS)}")
@@ -142,7 +153,7 @@ def _zero_retention(cfg: ExperimentConfig, n_pe: float, n: int,
 def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: float,
                        model: MlpModel | None = None, features=None,
                        ref: ThresholdSet | None = None) -> ThresholdSet:
-    """Thresholds for one sweep point according to cfg.source.
+    """Thresholds for one sweep point according to cfg.source (None: "cis").
 
     The "hard" source always yields the three pairwise-crossing levels
     regardless of cfg.cis.j_levels.  "cis-t0" returns ``ref``, the wear
@@ -151,6 +162,8 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
     voltages are not available here, so callers supply the histogram)
     through `model`.
     """
+    if cfg.source is None:
+        cfg = replace(cfg, source=_SEARCH)
     if cfg.source == "hard":
         return ThresholdSet(tuple(hard_thresholds(state_models(cond, cfg.params))))
     if cfg.source == "mmi":
@@ -238,6 +251,7 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     true condition with zero-retention reference thresholds, mirroring
     how the controller would estimate wear state online.
     """
+    cfg = replace(cfg, source=cfg.source or _SEARCH)
     code = build_code(cfg.code, seed=cfg.code_seed)
     model = _load_model_if_needed(cfg, model) if cfg.source == "dnn" else None
     rows = []
@@ -287,19 +301,19 @@ def run_ccr(cfg: ExperimentConfig):
 def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
     """Read-retry controller: stale thresholds, retry via the network.
 
-    Each point starts from thresholds chosen by cfg.source (the natural
-    choice for a retention transient is "cis-t0": optimal for the wear
-    level but blind to elapsed time).  Every block is read with the
-    current thresholds first; on failure the block's own voltage
-    histogram, taken against the zero-retention reference quantizer, is
-    pushed through the network and the block is retried once with the
-    predicted thresholds.  A block failing both reads is bad.  The
-    retry thresholds are not kept: the persistent set only changes at
-    the refresh cadence (every cfg.refresh_interval blocks, using the
-    latest block histogram), matching a controller that batches
-    calibration.  LLR tables always come from the true condition's
+    Each point starts from thresholds chosen by cfg.source, by default
+    "cis-t0": optimal for the wear level but blind to elapsed time.
+    Every block is read with the current thresholds first; on failure the
+    block's own voltage histogram, taken against the zero-retention
+    reference quantizer, is pushed through the network and the block is
+    retried once with the predicted thresholds.  A block failing both
+    reads is bad.  The retry thresholds are not kept: the persistent set
+    only changes at the refresh cadence (every cfg.refresh_interval
+    blocks, using the latest block histogram), matching a controller
+    that batches calibration.  LLR tables always come from the true condition's
     state statistics evaluated at whichever thresholds are active.
     """
+    cfg = replace(cfg, source=cfg.source or "cis-t0")
     code = build_code(cfg.code, seed=cfg.code_seed)
     model = _load_model_if_needed(cfg, model)
     if model is None:

@@ -142,9 +142,13 @@ def init_thresholds(models, j_levels: int) -> ThresholdSet:
     The recipe anchors d_1 one spacing below the first crossing and d_J
     one spacing above the last, leaving a double-width gap after d_1.
     """
+    return _recipe(hard_thresholds(models), j_levels)
+
+
+def _recipe(h, j_levels: int) -> ThresholdSet:
+    """init_thresholds from the hard-decision crossings h."""
     if j_levels < 3:
         raise ValueError("initialization needs at least 3 levels")
-    h = hard_thresholds(models)
     h1, h3 = h[0], h[-1]
     delta = (h3 - h1) / (j_levels - 1)
     d = np.empty(j_levels)
@@ -159,31 +163,58 @@ class _Lattice:
     """A region-additive objective of thresholds on the lattice k * step.
 
     Start s belongs to condition cond[s], with state models models[cond[s]].
-    Input tail masses are tabulated once per condition and lattice point the
-    search can reach, the conditions' tables side by side on the lattice
-    axis, and the region terms of every start's thresholds are kept between
-    calls.  ``stat`` maps the channels' (I, U) to one row per channel, and
-    ``order`` maps those and the candidates' conditions to the value minimized.
+    Input tail masses are tabulated per condition and lattice point, from 0
+    up to a margin above the highest threshold reached so far (the table
+    grows when a candidate passes it); point k of condition c sits at
+    k * len(models) + c on the table's last axis.  The region terms of
+    every start's thresholds are kept between calls.  ``stat`` maps the
+    channels' (I, U) to one row per channel, and ``order`` maps those and
+    the candidates' conditions to the value minimized.
     """
 
     def __init__(self, models, cond, step: float, groups, prior, stat, order):
         self.models, self.cond, self.step, self.groups = models, cond, step, groups
         self.prior, self.stat, self.order = prior, stat, order
 
+    def _index(self, k: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        return k * len(self.models) + cond
+
+    def _tabulate(self, size: int) -> None:
+        """Extend the table to the lattice indices below ``size``; a tail is
+        elementwise in its lattice point, so the table's length changes
+        no bit of it."""
+        lattice = np.arange(self._size, size) * self.step
+        new = np.stack([input_tails(lattice, m, self.groups) for m in self.models], axis=-1)
+        self._table = np.concatenate((self._table, new.reshape(new.shape[:2] + (-1,))),
+                                     axis=-1)
+        self._size = size
+
     def full(self, k: np.ndarray) -> np.ndarray:
         """Objective of each start's row of lattice indices."""
-        w = region_masses(np.take(self._table, k + self._base[:, None], axis=-1))
+        w = region_masses(np.take(self._table, self._index(k, self.cond[:, None]), axis=-1))
         return self.order(self.stat(*info_iu(w, self.prior)), self.cond)
 
-    def reset(self, k: np.ndarray, size: int) -> None:
-        """Start from the thresholds k (one row per start); no threshold
-        will reach lattice index ``size``."""
-        self._base = self.cond * size
-        lattice = np.arange(size) * self.step
-        self._table = np.concatenate([input_tails(lattice, m, self.groups)
-                                      for m in self.models], axis=-1)
-        self._terms = region_terms(region_masses(
-            np.take(self._table, k + self._base[:, None], axis=-1)), self.prior)
+    def reset(self, k: np.ndarray, margin: int) -> None:
+        """Start from the thresholds k (one row per start); the table keeps
+        ``margin`` lattice points above the highest threshold it serves."""
+        self._margin, self._size = margin, 0
+        self._table = np.empty(self.groups.shape[:2] + (0,))
+        self._tabulate(int(k.max()) + margin + 1)
+        self._terms = region_terms(region_masses(np.take(
+            self._table, self._index(k, self.cond[:, None]), axis=-1)), self.prior)
+
+    def _moved_terms(self, at) -> np.ndarray:
+        """Terms (2, C, 2, n) of the two regions the moved threshold bounds,
+        for the last call's candidates at positions ``at``."""
+        # ndarray.take: the same gathers as fancy indexing, at a fraction of the cost
+        table = self._table
+        tc = table.take(self._cand[at], axis=-1)
+        w = np.empty(tc.shape[:2] + (2,) + tc.shape[2:])
+        np.subtract(1.0 if self._above is None else table.take(self._above[at], axis=-1),
+                    tc, out=w[:, :, 0])
+        np.subtract(tc, 0.0 if self._below is None else table.take(self._below[at], axis=-1),
+                    out=w[:, :, 1])
+        return region_terms(np.maximum(w, 0.0, out=w), self.prior)
 
     def __call__(self, k: np.ndarray, j: int, sid: np.ndarray,
                  cand: np.ndarray) -> np.ndarray:
@@ -192,34 +223,31 @@ class _Lattice:
         Only the two regions that threshold j bounds are evaluated; the
         other regions' terms come from the kept terms of the current
         thresholds.  Candidates are scored in slices of at most _SLICE, so
-        that only their new terms and statistics take memory per candidate.
+        that only their new terms and statistics take memory per candidate;
+        the call keeps just their table indices, for ``accept``.
         """
-        # ndarray.take: the same gathers as fancy indexing, at a fraction of the cost
-        kept, table, base = self._terms, self._table, self._base
+        top = int(cand.max())
+        if top >= self._size:
+            self._tabulate(top + self._margin + 1)
+        kept = self._terms
         rest = kept[..., :j].sum(axis=-1) + kept[..., j + 2:].sum(axis=-1)
-        kb = k + base[:, None]  # indices into the joined tables
-        cand = cand + base[sid]
-        above = kb[:, j - 1][sid] if j else None
-        below = kb[:, j + 1][sid] if j + 1 < k.shape[1] else None
-        new = self._new = np.empty((2, table.shape[0], 2, cand.size))
-        stat = np.empty((table.shape[0], cand.size))
+        kb = self._index(k, self.cond[:, None])
+        cond = self.cond[sid]
+        self._cand = self._index(cand, cond)
+        self._above = kb[:, j - 1][sid] if j else None
+        self._below = kb[:, j + 1][sid] if j + 1 < k.shape[1] else None
+        stat = np.empty((self._table.shape[0], cand.size))
         for lo in range(0, cand.size, _SLICE):
             part = slice(lo, lo + _SLICE)
-            tc = table.take(cand[part], axis=-1)
-            w = np.empty(tc.shape[:2] + (2,) + tc.shape[2:])
-            np.subtract(1.0 if above is None else table.take(above[part], axis=-1),
-                        tc, out=w[:, :, 0])
-            np.subtract(tc, 0.0 if below is None else table.take(below[part], axis=-1),
-                        out=w[:, :, 1])
-            new[..., part] = region_terms(np.maximum(w, 0.0, out=w), self.prior)
+            new = self._moved_terms(part)
             stat[:, part] = self.stat(*iu_from_sums(
-                rest.take(sid[part], axis=-1) + (new[:, :, 0, part] + new[:, :, 1, part])))
-        return self.order(stat, self.cond[sid])
+                rest.take(sid[part], axis=-1) + (new[:, :, 0] + new[:, :, 1])))
+        return self.order(stat, cond)
 
     def accept(self, sid: np.ndarray, j: int, choice: np.ndarray) -> None:
         """Starts sid moved threshold j to the candidates at positions choice
         of the last call."""
-        self._terms[:, :, sid, j:j + 2] = np.moveaxis(self._new[..., choice], 2, -1)
+        self._terms[:, :, sid, j:j + 2] = np.moveaxis(self._moved_terms(choice), 2, -1)
 
 
 class _Rows:
@@ -231,7 +259,7 @@ class _Rows:
     def full(self, k: np.ndarray) -> np.ndarray:
         return self.f(k * self.step)
 
-    def reset(self, k: np.ndarray, size: int) -> None:
+    def reset(self, k: np.ndarray, margin: int) -> None:
         pass
 
     def __call__(self, k: np.ndarray, j: int, sid: np.ndarray,
@@ -253,15 +281,15 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
     moves to the first best candidate only if that strictly improves on
     staying put.  A start stops once a full cycle of coordinates has
     passed without a move: a sweep from there on could move nothing.
-    Returns the path of each start: its thresholds at the start and
-    after each sweep.
+    Returns the trail, every start's thresholds at the start and after
+    each sweep (one array per sweep), and the sweep in which each start
+    stopped; a stopped start's thresholds stay as they are.
     """
     k = starts.copy()
     n_starts, n_dim = k.shape
     steps = int(round(cfg.lam / cfg.grid_step))
     offsets = np.arange(-steps, steps + 1)
-    # each sweep moves a threshold by at most `steps`
-    obj.reset(k, int(k.max()) + (cfg.i_max + 1) * steps + 1)
+    obj.reset(k, steps)  # one move reaches at most `steps` points
     trail = [k.copy()]
     last = np.full(n_starts, cfg.i_max)   # sweep in which each start stopped
     quiet = np.zeros(n_starts, dtype=np.int64)  # evaluations since the last move
@@ -294,18 +322,19 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
         trail.append(k.copy())
         if not active.size:
             break
-    return [np.array([step[s] for step in trail[:last[s] + 1]])
-            for s in range(n_starts)]
+    return trail, last
 
 
 def _best_paths(obj, starts: np.ndarray, cond: np.ndarray, cfg: CisConfig) -> list:
     """For each condition, in order, the path of its start that ends
-    lowest (ties: smallest thresholds); start s belongs to cond[s]."""
-    paths = _descend(obj, starts, cfg)
-    ends = np.array([p[-1] for p in paths])
+    lowest (ties: smallest thresholds): its thresholds at the start and
+    after each sweep.  Start s belongs to cond[s]."""
+    trail, last = _descend(obj, starts, cfg)
+    ends = trail[-1]
     score = obj.full(ends)
-    return [paths[min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))]
+    wins = [min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))
             for c in range(cond[-1] + 1)]
+    return [np.array([step[s] for step in trail[:last[s] + 1]]) for s in wins]
 
 
 def _snap(d, step: float) -> np.ndarray:
@@ -331,6 +360,8 @@ def coordinate_search(f, d0: np.ndarray, cfg: CisConfig):
 
 
 def _jittered_starts(d0: np.ndarray, delta: float, cfg: CisConfig, seed):
+    if not cfg.restarts:
+        return []
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(cfg.restarts):
@@ -351,8 +382,8 @@ def _split_start(h, delta: float, split) -> np.ndarray:
 def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
-    d0 = init_thresholds(models, j_levels).as_array()
     h = hard_thresholds(models)
+    d0 = _recipe(h, j_levels).as_array()
     delta = (h[-1] - h[0]) / (j_levels - 1)
     starts = [d0, *_jittered_starts(d0, delta, cfg, seed)]
     for k1 in range(1, j_levels - 1):

@@ -114,6 +114,19 @@ def test_experiment_config_validation():
             ExperimentConfig(**bad)
 
 
+def test_list_keys_reject_a_set_single_key():
+    # the list keys replace the single ones; a single key set beside its
+    # list is an error, not a setting silently dropped
+    with pytest.raises(ValueError, match="code or code_list"):
+        run_ccr(ExperimentConfig(code="4k-qc", code_list=("2k-qc",),
+                                 cis=CisConfig(j_levels=3), j_list=(6,),
+                                 pe_list=(8000.0,)))
+    with pytest.raises(ValueError, match="j_levels or j_list"):
+        ExperimentConfig(cis=CisConfig(j_levels=3), j_list=(6,))
+    both = ExperimentConfig(code_list=("4k-qc",), j_list=(9,))  # the defaults beside
+    assert both.code == "2k-qc" and both.cis.j_levels == 6
+
+
 def test_sweeps_design_with_the_cis_j_levels():
     # J has one owner, cfg.cis: a sweep designs, and checks a model, with it
     cfg = ExperimentConfig(cis=CisConfig(j_levels=9))
@@ -265,6 +278,22 @@ def test_cis_t0_searches_once_per_wear_level(monkeypatch):
     rows = run_fer(cfg)
     assert calls == [Condition(4000.0, 0.0)]
     assert [r["frames"] for r in rows] == [2, 2]
+
+
+def test_unset_source_is_each_drivers_default():
+    # fer designs at the true condition, the pipeline starts from the
+    # stale zero-retention thresholds
+    d, _ = cis_optimize(Condition(4000.0, 1e5), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    model = constant_model(d)
+    cfg = ExperimentConfig(pe_list=(4000.0,), t_list=(1e5,), frames=4,
+                           refresh_interval=0)
+    assert cfg.source is None
+    assert run_pipeline(cfg, model=model) == \
+        run_pipeline(replace(cfg, source="cis-t0"), model=model)
+    rows = run_fer(replace(cfg, frames=2))
+    assert rows == run_fer(replace(cfg, frames=2, source="cis"))
+    assert rows[0]["source"] == "cis"
+    assert resolve_thresholds(cfg, Condition(4000.0, 1e5), 2624, 0.9) == d
 
 
 @pytest.mark.parametrize("source", ["cis-t0", "dnn"])

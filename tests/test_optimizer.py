@@ -258,6 +258,34 @@ def test_search_outputs_are_pinned():
                                 "8fe517e4fb0e8edfd61cb62adac7e4b6")
 
 
+def test_search_climbing_past_the_first_table_is_pinned():
+    # at PE 16000 / 1e5 h and J 9 the top threshold climbs more than five
+    # windows (1 V) above every start of the batch, far past the lattice
+    # points the search tabulates first, so the table grows while it runs
+    conds = [Condition(16000.0, 1e5), Condition(8000.0, 0.0), Condition(19000.0, 1e6)]
+    values = []
+    for grid in (0.01, 0.005):
+        cfg = CisConfig(j_levels=9, grid_step=grid)
+        results = cis_optimize_many(conds, DEFAULT_PARAMS, 2624, 0.9, cfg)
+        top = max(optimizer._starts(state_models(c), cfg, 0).max() for c in conds)
+        assert round(results[0][0].d[-1] / grid) > top + 5 * round(cfg.lam / grid)
+        for d, history in results:
+            values += [*d.as_array(), *history]
+    assert _hex_digest(values) == ("a69b961416ffa1c32ba295a21452f903"
+                                   "fdd100d6c1e42e4a57d6a725f3a0abd7")
+
+
+def test_starts_find_the_crossings_once_per_condition(monkeypatch):
+    calls = []
+    real = optimizer.hard_thresholds
+    monkeypatch.setattr(optimizer, "hard_thresholds",
+                        lambda models: calls.append(models) or real(models))
+    monkeypatch.setattr(np.random, "default_rng", None)  # no restarts, no generator
+    conds = [Condition(8000.0, 0.0), Condition(12000.0, 1e3), Condition(16000.0, 1e5)]
+    cis_optimize_many(conds, DEFAULT_PARAMS, 2624, 0.9, CisConfig(grid_step=0.05))
+    assert len(calls) == len(conds)
+
+
 def test_ccr_rates_are_pinned():
     cfg = ExperimentConfig(code_list=("2k-qc", "4k-qc"), j_list=(3, 9),
                            pe_list=(0.0, 8000.0, 16000.0), t_list=(0.0, 1e5))

@@ -55,6 +55,10 @@ def runs(out: Path):
     yield "optimize-mmi", ["optimize", "--method", "mmi", "--n-pe", "12000",
                            "--t-ret", "1000",
                            "--history-out", out / "optimize-mmi.history.csv"]
+    # the 4-input MMI lattice at the finest grid
+    yield "optimize-mmi-j9-fine", ["optimize", "--config", fine, "--method", "mmi",
+                                   "--j-levels", "9", "--n-pe", "16000", "--t-ret", "1e5",
+                                   "--out", out / "optimize-mmi-j9-fine.txt"]
     params = out / "params.json"
     params.write_text(json.dumps({"sigma_e": 0.36, "v_target": [1.4, 2.6, 3.2, 3.95]}))
     yield "optimize-params-file", ["optimize", "--params-file", params, "--n-pe", "8000",
