@@ -17,15 +17,15 @@ from .mlp import (GenConfig, MlpModel, Sample, TrainConfig, forward,
                   gen_training_data, histogram_features, load_model,
                   save_model, train)
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
-from .quantizer import (DmcChannel, LlrTable, ThresholdSet, hard_thresholds,
-                        llr_table, quantize, transition_matrix)
+from .quantizer import (ThresholdSet, hard_thresholds, llr_table, quantize,
+                        transition_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CisConfig", "Condition", "DEFAULT_PARAMS", "DmcChannel",
-    "ExperimentConfig", "FlashParams", "GenConfig", "LdpcCode", "LlrTable",
-    "MlpModel", "PRESETS", "ParityMatrix", "PipelineStats", "Sample",
+    "CisConfig", "Condition", "DEFAULT_PARAMS", "ExperimentConfig",
+    "FlashParams", "GenConfig", "LdpcCode", "MlpModel", "PRESETS",
+    "ParityMatrix", "PipelineStats", "Sample",
     "StateModel", "ThresholdSet", "TrainConfig", "achievable_rate",
     "build_code", "cis_optimize", "cp_interval", "encode", "eps_max",
     "forward", "gen_training_data", "hard_thresholds", "histogram_features",

@@ -25,13 +25,25 @@ import numpy as np
 N_STATES = 4
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a number of ``kind`` (booleans are not) and, unless
+    an integer is asked for, a finite float."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    try:
+        return kind is numbers.Integral or math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def check_numbers(obj, names, integral: bool = False) -> None:
-    """Raise ValueError unless each named field of ``obj`` is a real number
-    (an integer if ``integral``); booleans are neither."""
-    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    """Raise ValueError unless each named field of ``obj`` is a finite real
+    number (an integer if ``integral``); booleans are neither."""
+    kind, what = ((numbers.Integral, "an integer") if integral
+                  else (numbers.Real, "a finite number"))
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if not _is_number(value, kind):
             raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
@@ -57,9 +69,9 @@ class FlashParams:
     def __post_init__(self):
         check_numbers(self, ("v_p", "sigma_e", "sigma_pn", "rtn_coeff", "rtn_exp",
                              "beta0", "beta1", "alpha0", "alpha1"))
-        if not isinstance(self.v_target, (tuple, list)) or any(
-                isinstance(v, bool) or not isinstance(v, numbers.Real) for v in self.v_target):
-            raise ValueError(f"v_target must be a list of numbers, got {self.v_target!r}")
+        if not isinstance(self.v_target, (tuple, list)) or not all(
+                map(_is_number, self.v_target)):
+            raise ValueError(f"v_target must be a list of finite numbers, got {self.v_target!r}")
         object.__setattr__(self, "v_target", tuple(self.v_target))
         if len(self.v_target) != N_STATES:
             raise ValueError(f"expected {N_STATES} verify targets, got {len(self.v_target)}")
@@ -82,9 +94,6 @@ class Condition:
 
     def __post_init__(self):
         check_numbers(self, ("n_pe", "t_ret"))
-        if not (math.isfinite(self.n_pe) and math.isfinite(self.t_ret)):
-            raise ValueError(f"n_pe and t_ret must be finite, got {self.n_pe!r} "
-                             f"and {self.t_ret!r}")
         if self.n_pe < 0:
             raise ValueError("cycle count n_pe must be nonnegative")
         if self.t_ret < 0:
@@ -149,13 +158,7 @@ def state_models(cond: Condition, params: FlashParams = DEFAULT_PARAMS):
     return [state_model(s, cond, params) for s in range(N_STATES)]
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
-def sample_wordline(states, cond: Condition, params: FlashParams = DEFAULT_PARAMS, rng=0):
+def sample_wordline(states, cond: Condition, params: FlashParams, rng: np.random.Generator):
     """Vectorized draw: one voltage per entry of the state array ``states``."""
     states = np.asarray(states)
     if states.size and (states.min() < 0 or states.max() >= N_STATES):
@@ -163,5 +166,4 @@ def sample_wordline(states, cond: Condition, params: FlashParams = DEFAULT_PARAM
     models = state_models(cond, params)
     mus = np.array([m.mu for m in models])
     sigmas = np.array([m.sigma for m in models])
-    rng = _as_rng(rng)
     return mus[states] + sigmas[states] * rng.standard_normal(states.shape)

@@ -234,8 +234,9 @@ def _cmd_train(args) -> int:
     s, params, cis = _settings(args)
     seed = s.get("seed", 0)
     gen_cfg = GenConfig(cis=cis, **_pick(s, "count", "block_n", "rate"))
+    train_cfg = TrainConfig(**_pick(s, "lr", "epochs", "batch", "lr_final"))
     if s.get("dataset_in"):
-        samples = load_dataset(s["dataset_in"], n_features=cis.j_levels + 1)
+        samples = load_dataset(s["dataset_in"], cis.j_levels)
     else:
         samples = gen_training_data(
             params, s.get("pe_set", (2000.0, 6000.0, 10000.0, 14000.0)),
@@ -243,7 +244,6 @@ def _cmd_train(args) -> int:
             cfg=gen_cfg, seed=seed)
     if s.get("dataset_out"):
         save_dataset(samples, s["dataset_out"])
-    train_cfg = TrainConfig(**_pick(s, "lr", "epochs", "batch", "lr_final"))
     dims = None
     if s.get("hidden"):
         dims = (cis.j_levels + 1, *s["hidden"], cis.j_levels)

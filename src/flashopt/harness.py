@@ -31,8 +31,8 @@ from .fbl import achievable_rate, info_iu
 from .ldpc import LdpcCode, PRESETS, build_code, encode, sp_decode
 from .mlp import MlpModel, forward, histogram_features, load_model
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
-from .quantizer import (LlrTable, PAGE_STATES, ThresholdSet, gray_state,
-                        hard_thresholds, llr_table, quantize, transition_matrix)
+from .quantizer import (PAGE_STATES, ThresholdSet, gray_state, hard_thresholds,
+                        llr_table, quantize, transition_matrix)
 
 SOURCES = ("hard", "mmi", "cis", "cis-t0", "dnn", "file")
 _SEARCH = "cis"  # what source None means everywhere but in run_pipeline
@@ -116,11 +116,11 @@ class PipelineStats:
                 "first_pass_fer": self.first_pass_fer, "final_fer": self.final_fer}
 
 
-def cp_interval(errors: int, trials: int, conf: float = 0.95):
-    """Clopper-Pearson binomial confidence interval for an error count."""
+def cp_interval(errors: int, trials: int):
+    """Clopper-Pearson 95 % binomial confidence interval for an error count."""
     if not 0 <= errors <= trials or trials < 1:
         raise ValueError("need 0 <= errors <= trials with trials >= 1")
-    alpha = 1.0 - conf
+    alpha = 1.0 - 0.95  # not 0.05, which differs in the last bit
     lo = 0.0 if errors == 0 else float(betaincinv(errors, trials - errors + 1, alpha / 2))
     hi = 1.0 if errors == trials else float(betainccinv(errors + 1, trials - errors, alpha / 2))
     return lo, hi
@@ -229,11 +229,11 @@ def _simulate_block(code: LdpcCode, cfg: ExperimentConfig, cond: Condition,
     return code_m, code_l, volts
 
 
-def _decode_block(code: LdpcCode, volts, d: ThresholdSet, table: LlrTable,
+def _decode_block(code: LdpcCode, volts, d: ThresholdSet, table: np.ndarray,
                   code_m, code_l, i_max: int):
-    """Both pages through the soft decoder; True means block success."""
-    regions = quantize(volts, d)
-    llrs = table.llr[regions]
+    """Both pages through the soft decoder, with the LLR table ``table``;
+    True means block success."""
+    llrs = table[quantize(volts, d)]
     bits_m, ok_m, _ = sp_decode(code, llrs[:, 0], i_max=i_max)
     if not (ok_m and np.array_equal(bits_m, code_m)):
         return False
@@ -289,7 +289,7 @@ def run_ccr(cfg: ExperimentConfig):
             block = tuple(Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list)
             for cond in block:
                 d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate, cis_cfg, cfg.seed, block)
-                w = transition_matrix(state_models(cond, cfg.params), d).w
+                w = transition_matrix(state_models(cond, cfg.params), d)
                 i, u = info_iu(w[PAGE_STATES].mean(axis=2), np.array([0.5, 0.5]))
                 rates = [achievable_rate(spec.n, cfg.rate_eps, i[k], u[k]) for k in (0, 1)]
                 rows.append({"code": code_name, "j_levels": j,

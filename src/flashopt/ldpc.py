@@ -28,6 +28,7 @@ import numpy as np
 
 MAX_BUILD_TRIES = 20
 RATE_TOL = 0.005
+L_MAX = 30.0  # LLR clamp of the decoder and the quantizer's tables, natural-log units
 _ATANH_LIM = 1.0 - 1e-15
 _SIGN_BIT = np.uint64(1 << 63)
 _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1) & 1
@@ -299,14 +300,11 @@ def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode
                     free_cols=free_cols, parity_map=parity_map)
 
 
-def build_code(spec, seed: int = 0) -> LdpcCode:
-    """Build a preset (by name or CodeSpec); deterministic per seed."""
-    if isinstance(spec, str):
-        try:
-            spec = PRESETS[spec.lower()]
-        except KeyError:
-            raise ValueError(f"unknown code preset: {spec!r}") from None
-    return _build_cached(spec, seed)
+def build_code(name: str, seed: int = 0) -> LdpcCode:
+    """Build the preset of that exact name; deterministic per seed."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown code preset: {name!r}")
+    return _build_cached(PRESETS[name], seed)
 
 
 @lru_cache(maxsize=8)
@@ -376,9 +374,10 @@ def _check_rule(v2c, out, t, logmag, neg, sign) -> None:
     np.multiply(np.arctanh(out, out=out), 2.0, out=out)
 
 
-def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
+def sp_decode(code: LdpcCode, llrs, i_max: int = 25):
     """Flooding sum-product decode; returns (bits, converged, iterations).
 
+    Channel LLRs and messages are clamped to +-L_MAX, read at call time.
     Convergence requires a zero syndrome with every posterior strictly
     signed; an all-zero posterior (no channel information) therefore
     reports converged=False even though the trivial word checks out.
@@ -390,6 +389,7 @@ def sp_decode(code: LdpcCode, llrs, i_max: int = 25, clamp: float = 30.0):
     if i_max < 1:
         raise ValueError(f"i_max must be at least 1, got {i_max}")
     _, var, pads, var_slots = pm.slots
+    clamp = L_MAX
     # Internal sign convention is log(p0/p1); inputs use the opposite.
     # The pads gather total[n] = +inf: v2c +inf, never negative.
     total = np.append(np.clip(-llr, -clamp, clamp), np.inf)

@@ -68,6 +68,8 @@ class MlpModel:
     def __post_init__(self):
         if len(self.dims) < 2:
             raise ValueError("need at least input and output layers")
+        if min(self.dims) < 1:
+            raise ValueError(f"every layer needs at least one unit, got dims {tuple(self.dims)}")
         if len(self.weights) != len(self.dims) - 1 or len(self.biases) != len(self.dims) - 1:
             raise ValueError("parameter count does not match layer count")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -459,9 +461,10 @@ def save_dataset(samples, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def load_dataset(path, n_features: int):
-    """Rows written by save_dataset; a bad row is reported as path:line."""
-    samples, width = [], None
+def load_dataset(path, j_levels: int):
+    """Rows written by save_dataset for J = ``j_levels``: J+1 features then J
+    labels.  A bad row is reported as path:line."""
+    samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -469,13 +472,11 @@ def load_dataset(path, n_features: int):
                 continue
             try:
                 vals = [float(tok) for tok in line.split(",")]
-                if len(vals) <= n_features:
-                    raise ValueError("expected features plus labels")
-                width = width or len(vals)
-                if len(vals) != width:
-                    raise ValueError(f"{len(vals)} values, but the first row has {width}")
-                samples.append(Sample(features=tuple(vals[:n_features]),
-                                      label=tuple(vals[n_features:])))
+                if len(vals) != 2 * j_levels + 1:
+                    raise ValueError(f"{len(vals)} values, but the rows at J {j_levels} "
+                                     f"hold {2 * j_levels + 1}")
+                samples.append(Sample(features=tuple(vals[:j_levels + 1]),
+                                      label=tuple(vals[j_levels + 1:])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None
     return samples

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ldpc
 from .channel import N_STATES, StateModel
 from .fbl import q_func
-
-L_MAX = 30.0  # LLR clamp, natural-log units
 
 
 @dataclass(frozen=True)
@@ -80,41 +79,6 @@ def gray_state(msb, lsb):
     """State index of bit arrays (or scalars) under the Gray mapping."""
     out = _STATE_OF[2 * np.asarray(msb, dtype=np.int64) + lsb]
     return out if out.ndim else int(out)
-
-
-@dataclass(frozen=True)
-class DmcChannel:
-    """Discrete memoryless channel: input prior and region transition rows."""
-
-    prior: np.ndarray
-    w: np.ndarray  # rows = inputs, cols = regions
-
-    def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 2 or prior.ndim != 1 or w.shape[0] != prior.size:
-            raise ValueError("prior length must match transition rows")
-        if abs(prior.sum() - 1.0) > 1e-9:
-            raise ValueError("prior must sum to 1")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("every transition row must sum to 1")
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
-class LlrTable:
-    """Per-region LLRs, column 0 for the MSB page and column 1 for the LSB."""
-
-    llr: np.ndarray  # shape (J+1, 2), natural-log units
-
-    def __post_init__(self):
-        llr = np.asarray(self.llr, dtype=float)
-        if llr.ndim != 2 or llr.shape[1] != 2:
-            raise ValueError("llr table must have shape (regions, 2)")
-        if not np.all(np.isfinite(llr)):
-            raise ValueError("llr table must be finite after clamping")
-        object.__setattr__(self, "llr", llr)
 
 
 def _gaussian_crossing(a: StateModel, b: StateModel) -> float:
@@ -185,22 +149,24 @@ def region_masses(tails):
     return np.maximum(edges[..., :-1] - edges[..., 1:], 0.0)
 
 
-def transition_matrix(models, d: ThresholdSet) -> DmcChannel:
-    """DMC from state Gaussians to read regions (tail-difference masses),
-    every state equally likely."""
-    w = region_masses(input_tails(d.as_array(), models, single_states(len(models))))[0]
-    return DmcChannel(prior=np.full(len(models), 1.0 / len(models)), w=w)
+def transition_matrix(models, d: ThresholdSet) -> np.ndarray:
+    """Region masses of each state, (states, J+1): row s is the channel's
+    transition row from state s (tail-difference masses)."""
+    return region_masses(input_tails(d.as_array(), models, single_states(len(models))))[0]
 
 
-def llr_table(models, d: ThresholdSet, l_max: float = L_MAX) -> LlrTable:
-    """Per-region LLRs of both pages: log of bit-1 mass over bit-0 mass.
+def llr_table(models, d: ThresholdSet) -> np.ndarray:
+    """Per-region LLRs, (J+1, 2): log of bit-1 mass over bit-0 mass, column
+    0 for the MSB page and 1 for the LSB.
 
-    Regions holding only bit-1 (or only bit-0) mass clamp to +-l_max, and
-    an entirely empty region contributes 0 (no information).
+    Regions holding only bit-1 (or only bit-0) mass clamp to +-ldpc.L_MAX,
+    read at call time, and an entirely empty region contributes 0 (no
+    information).
     """
     if len(models) != N_STATES:
         raise ValueError(f"expected {N_STATES} state models")
-    w = transition_matrix(models, d).w
+    l_max = ldpc.L_MAX
+    w = transition_matrix(models, d)
     num = w[PAGE_STATES[:, 1]].sum(axis=1)  # (page, region)
     den = w.sum(axis=0) - num
     both = (num > 0.0) & (den > 0.0)
@@ -208,4 +174,4 @@ def llr_table(models, d: ThresholdSet, l_max: float = L_MAX) -> LlrTable:
     # math.log: numpy's vectorized log may differ from it in the last bit
     llr = np.fromiter(map(math.log, ratio.flat), float, ratio.size).reshape(ratio.shape)
     one_bit = l_max * (num > 0.0) - l_max * (den > 0.0)  # +-l_max, 0 if empty
-    return LlrTable(np.where(both, np.clip(llr, -l_max, l_max), one_bit).T)
+    return np.where(both, np.clip(llr, -l_max, l_max), one_bit).T

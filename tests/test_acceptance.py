@@ -83,11 +83,8 @@ def test_criterion_1_search_matches_exhaustive_grid(capsys):
 
 
 def test_criterion_2_fbl_arithmetic(capsys):
-    from flashopt.quantizer import DmcChannel
-
-    ch = DmcChannel(prior=np.array([0.5, 0.5]),
-                    w=np.array([[0.9, 0.1], [0.1, 0.9]]))
-    (i_bits,), (u_bits,) = info_iu(ch.w[None], ch.prior)
+    bsc = np.array([[0.9, 0.1], [0.1, 0.9]])  # BSC(0.1), inputs equally likely
+    (i_bits,), (u_bits,) = info_iu(bsc[None], np.array([0.5, 0.5]))
     ok_iu = abs(i_bits - 0.53101) < 1e-5 and abs(u_bits - 0.90436) < 1e-5
     ok_zero = q_func(0.0) == 0.5
     xs = np.linspace(-6.0, 6.0, 4001)

@@ -97,7 +97,8 @@ def test_state_means_increase():
 def test_sampling_moments_match_model():
     cond = Condition(10000.0, 1000.0)
     m = state_model(3, cond)
-    v = sample_wordline(np.full(200_000, 3), cond, rng=7)
+    v = sample_wordline(np.full(200_000, 3), cond, DEFAULT_PARAMS,
+                        np.random.default_rng(7))
     assert np.mean(v) == pytest.approx(m.mu, abs=5 * m.sigma / np.sqrt(v.size))
     assert np.std(v) == pytest.approx(m.sigma, rel=0.01)
 
@@ -105,8 +106,8 @@ def test_sampling_moments_match_model():
 def test_sample_wordline_deterministic():
     states = np.array([0, 1, 2, 3, 3, 1])
     cond = Condition(5000.0, 10.0)
-    a = sample_wordline(states, cond, rng=42)
-    b = sample_wordline(states, cond, rng=42)
+    a = sample_wordline(states, cond, DEFAULT_PARAMS, np.random.default_rng(42))
+    b = sample_wordline(states, cond, DEFAULT_PARAMS, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert a.shape == states.shape
 
@@ -115,7 +116,7 @@ def test_sample_wordline_per_state_stats():
     rng = np.random.default_rng(3)
     states = rng.integers(0, 4, size=100_000)
     cond = Condition(8000.0, 50.0)
-    v = sample_wordline(states, cond, rng=rng)
+    v = sample_wordline(states, cond, DEFAULT_PARAMS, rng)
     for m in state_models(cond):
         sel = v[states == m.state]
         assert np.mean(sel) == pytest.approx(m.mu, abs=6 * m.sigma / np.sqrt(sel.size))

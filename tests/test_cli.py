@@ -281,6 +281,74 @@ def test_non_finite_n_pe_exits_2(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+# one J 6 dataset row: 7 histogram fractions, then 6 increasing labels
+_ROW = [0.1] * 6 + [0.4] + [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+
+
+def _dataset(tmp_path, rows):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("width", [8, 14])
+def test_dataset_row_of_other_width_than_2j_plus_1_exits_2(tmp_path, capsys, width):
+    # at J 6 a row holds 13 values: 8 would train a 7 -> 1 model, 14 a 7 -> 7 one
+    row = _ROW[:7] + [0.05 * (k + 1) for k in range(width - 7)]
+    path = _dataset(tmp_path, [_ROW, row])
+    rc = main(["train", "--dataset-in", str(path), "--epochs", "1",
+               "--model-out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert f"{path}:2: {width} values, but the rows at J 6 hold 13" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_hidden_layer_of_width_0_exits_2(tmp_path, capsys):
+    path = _dataset(tmp_path, [_ROW, _ROW])
+    rc = main(["train", "--dataset-in", str(path), "--epochs", "1", "--hidden", "0",
+               "--model-out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "dims (7, 0, 6)" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_model_file_with_a_layer_of_width_0_exits_2(tmp_path, capsys):
+    # magic, version 3, three layers, scale, dims (7, 0, 6), the input and
+    # output scaling, then the 0-sized first layer and the second's biases
+    path = tmp_path / "m0.bin"
+    path.write_bytes(b"FOPTMLP\x00" + struct.pack("<IId3I", 3, 3, 6.0, 7, 0, 6)
+                     + np.concatenate([np.zeros(7), np.ones(7), np.zeros(6), np.ones(6),
+                                       np.zeros(6)]).astype("<f8").tobytes())
+    rc = main(["fer", "--source", "dnn", "--pe-list", "15000", "--t-list", "0",
+               "--frames", "1", "--model-file", str(path)])
+    assert rc == 2
+    assert "dims (7, 0, 6)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"cis": {"lam": float("nan")}}, "lam"),
+    ({"cis": {"grid_step": float("inf")}}, "grid_step"),
+    ({"cis": {"lam": 10**400}}, "lam"),  # no float holds it
+    ({"params": {"v_p": float("nan")}}, "v_p"),
+    ({"params": {"v_target": [1.4, 2.6, float("-inf"), 3.93]}}, "v_target"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, config, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_pe": 8000.0, **config}))  # NaN and Infinity literals
+    rc = main(["optimize", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{key} must be a" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_lr_exits_2(tmp_path, capsys):
+    path = _dataset(tmp_path, [_ROW, _ROW])
+    rc = main(["train", "--dataset-in", str(path), "--lr", "nan"])
+    assert rc == 2
+    assert "lr must be a finite number, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, message", [
     (["train", "--t-hi", "inf"], "t_range must be finite"),
     (["train", "--t-hi", "1e400"], "t_range must be finite"),

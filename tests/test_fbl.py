@@ -9,13 +9,16 @@ import pytest
 
 from flashopt.channel import Condition, state_models
 from flashopt.fbl import achievable_rate, eps_max, info_iu, q_func, q_inv, t_stat
-from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
-                                hard_thresholds, transition_matrix)
+from flashopt.quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
+                                transition_matrix)
+
+HALF = np.array([0.5, 0.5])
 
 
-def bsc(p):
-    return DmcChannel(prior=np.array([0.5, 0.5]),
-                      w=np.array([[1 - p, p], [p, 1 - p]]))
+def bsc_iu(p):
+    """I and U in bits of the binary symmetric channel with crossover p."""
+    (i,), (u,) = info_iu(np.array([[[1 - p, p], [p, 1 - p]]]), HALF)
+    return i, u
 
 
 def test_q_func_values():
@@ -44,20 +47,16 @@ def test_q_inv_domain():
 
 
 def test_bsc_oracle_values():
-    ch = bsc(0.1)
-    (i,), (u,) = info_iu(ch.w[None], ch.prior)
+    i, u = bsc_iu(0.1)
     assert i == pytest.approx(0.531004406411, abs=1e-10)
     assert u == pytest.approx(0.904358206329, abs=1e-10)
 
 
 def test_perfect_and_useless_channels():
-    perfect = DmcChannel(prior=np.full(4, 0.25), w=np.eye(4))
-    (i,), (u,) = info_iu(perfect.w[None], perfect.prior)
+    (i,), (u,) = info_iu(np.eye(4)[None], np.full(4, 0.25))
     assert i == pytest.approx(2.0, abs=1e-12)
     assert u == pytest.approx(0.0, abs=1e-12)
-    useless = DmcChannel(prior=np.array([0.5, 0.5]),
-                         w=np.array([[0.3, 0.7], [0.3, 0.7]]))
-    (i,), (u,) = info_iu(useless.w[None], useless.prior)
+    (i,), (u,) = info_iu(np.array([[[0.3, 0.7], [0.3, 0.7]]]), HALF)
     assert i == pytest.approx(0.0, abs=1e-12)
     assert u == pytest.approx(0.0, abs=1e-12)
 
@@ -84,12 +83,12 @@ def test_eps_max_averages_pages():
     cond = Condition(12000.0, 500.0)
     models = state_models(cond)
     d = ThresholdSet(hard_thresholds(models))
-    w = transition_matrix(models, d).w
+    w = transition_matrix(models, d)
     # each page's binary channel: bit b's row is the mean of its two states' rows
     pages = w[PAGE_STATES].mean(axis=2)
     assert np.array_equal(pages[0, 1], 0.5 * (w[0] + w[1]))  # MSB bit 1: states 0, 1
     n, rate = 2624, 0.9
-    ts = t_stat(n, rate, *info_iu(pages, np.array([0.5, 0.5])))
+    ts = t_stat(n, rate, *info_iu(pages, HALF))
     got = eps_max(ts[0], ts[1])
     assert got == pytest.approx(0.5 * (q_func(ts[0]) + q_func(ts[1])), rel=1e-12)
     assert eps_max(np.inf, np.inf) == 0.0
@@ -97,8 +96,7 @@ def test_eps_max_averages_pages():
 
 
 def test_achievable_rate_inverts_t_stat():
-    ch = bsc(0.03)
-    (i,), (u,) = info_iu(ch.w[None], ch.prior)
+    i, u = bsc_iu(0.03)
     n = 2048
     t = t_stat(n, 0.75, i, u)
     eps = q_func(t)
@@ -116,8 +114,7 @@ def test_achievable_rate_zero_variance():
 
 
 def test_achievable_rate_decreasing_in_eps_strictness():
-    ch = bsc(0.05)
-    (i,), (u,) = info_iu(ch.w[None], ch.prior)
+    i, u = bsc_iu(0.05)
     loose = achievable_rate(4096, 1e-2, i, u)
     tight = achievable_rate(4096, 1e-6, i, u)
     assert tight < loose < i + np.log2(4096) / 8192

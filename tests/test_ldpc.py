@@ -5,9 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from flashopt.ldpc import (CodeSpec, LdpcCode, ParityMatrix, PRESETS,
-                           _check_rule, build_code, code_from_matrix,
-                           encode, qc_expand, sp_decode, syndrome)
+from flashopt import ldpc
+from flashopt.ldpc import (ParityMatrix, PRESETS, _check_rule, build_code,
+                           code_from_matrix, encode, qc_expand, sp_decode, syndrome)
 
 HAMMING_74 = np.array([[1, 1, 0, 1, 1, 0, 0],
                        [1, 0, 1, 1, 0, 1, 0],
@@ -360,7 +360,7 @@ def _noisy_llrs(code, rng, sigma, zeros):
     return llr
 
 
-def test_slot_decoder_matches_edge_order_decoder_bit_for_bit():
+def test_slot_decoder_matches_edge_order_decoder_bit_for_bit(monkeypatch):
     # (bits, converged, iterations) of every decode, from one iteration to
     # the waterfall and beyond, with exact zeros among the LLRs; clamp 3
     # makes any pad that is not +inf move its check's messages by far more
@@ -371,8 +371,9 @@ def test_slot_decoder_matches_edge_order_decoder_bit_for_bit():
         for sigma, zeros, clamp in ((0.42, 0.0, 30.0), (0.47, 0.0, 30.0), (0.5, 0.01, 30.0),
                                     (0.7, 0.05, 30.0), (0.45, 0.1, 3.0)):
             llr = _noisy_llrs(code, rng, sigma, zeros)
+            monkeypatch.setattr(ldpc, "L_MAX", clamp)  # read at call time
             for i_max in (1, 3, 25):
-                got = sp_decode(code, llr, i_max=i_max, clamp=clamp)
+                got = sp_decode(code, llr, i_max=i_max)
                 expect = _edge_sp_decode(code, llr, i_max=i_max, clamp=clamp)
                 assert np.array_equal(got[0], expect[0]), (name, sigma, i_max)
                 assert got[1:] == expect[1:], (name, sigma, i_max)

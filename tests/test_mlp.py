@@ -412,7 +412,7 @@ def test_dataset_roundtrip_exact(tmp_path):
         samples.append(Sample(tuple(f), tuple(np.sort(rng.uniform(0.1, 0.9, 3)))))
     path = tmp_path / "data.csv"
     save_dataset(samples, path)
-    back = load_dataset(path, n_features=4)
+    back = load_dataset(path, j_levels=3)
     assert len(back) == 5
     for a, b in zip(back, samples):
         assert a.features == b.features
@@ -420,7 +420,8 @@ def test_dataset_roundtrip_exact(tmp_path):
 
 
 @pytest.mark.parametrize("bad_row, message", [
-    ("0.25,0.25,0.5,0.1,0.2,0.3", "6 values, but the first row has 5"),
+    ("0.25,0.25,0.5,0.1,0.2,0.3", "6 values, but the rows at J 2 hold 5"),
+    ("0.25,0.25,0.5,0.1", "4 values, but the rows at J 2 hold 5"),
     ("0.25,0.25,0.25,0.1,0.2", "features must sum to 1"),
     ("0.5,0.5,x,0.1,0.2", "could not convert"),
 ])
@@ -428,7 +429,7 @@ def test_dataset_rejects_bad_row_with_its_line(tmp_path, bad_row, message):
     path = tmp_path / "data.csv"
     path.write_text(f"0.25,0.25,0.5,0.1,0.2\n\n{bad_row}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
-        load_dataset(path, n_features=3)
+        load_dataset(path, j_levels=2)
 
 
 def test_reference_thresholds_match_cis_at_zero_retention():

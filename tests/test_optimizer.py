@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flashopt.channel import Condition, DEFAULT_PARAMS, StateModel, state_models
-from flashopt import optimizer
+from flashopt import ldpc, optimizer
 from flashopt.optimizer import (CisConfig, binary_eps_batch, cis_optimize,
                                 cis_optimize_many, coordinate_search, eps_max_batch,
                                 init_thresholds, mmi_optimize, objective)
@@ -18,8 +18,7 @@ from flashopt.fbl import eps_max, info_iu
 
 def mutual_information(models, d):
     """I in bits of the four-state channel that thresholds ``d`` read."""
-    ch = transition_matrix(models, d)
-    return info_iu(ch.w[None], ch.prior)[0][0]
+    return info_iu(transition_matrix(models, d)[None], np.full(4, 0.25))[0][0]
 
 
 def test_config_validation():
@@ -310,7 +309,7 @@ def _llr_branch(num: float, den: float, l_max: float) -> str:
     return "clamped" if abs(np.log(num / den)) > l_max else "ordinary"
 
 
-def test_llr_tables_are_pinned():
+def test_llr_tables_are_pinned(monkeypatch):
     cases = [(_NARROW, ThresholdSet((1.5, 2.5, 3.5, 50.0)))]
     for pe, t in ((0.0, 0.0), (4000.0, 1e5), (8000.0, 1e3), (12000.0, 0.0),
                   (16000.0, 1e6), (19000.0, 1e6)):
@@ -322,9 +321,10 @@ def test_llr_tables_are_pinned():
             cases.append((models, d))
     values, branches = [], set()
     for models, d in cases:
-        w = transition_matrix(models, d).w
+        w = transition_matrix(models, d)
         for l_max in (2.5, 30.0):
-            values += llr_table(models, d, l_max).llr.ravel().tolist()
+            monkeypatch.setattr(ldpc, "L_MAX", l_max)
+            values += llr_table(models, d).ravel().tolist()
             for page in range(2):
                 num = w[PAGE_STATES[page, 1]].sum(axis=0)
                 branches.update(_llr_branch(a, b, l_max)

@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from flashopt.channel import Condition, state_models
 from flashopt.cli import FIELDS
 from flashopt.fbl import info_iu
-from flashopt.ldpc import PRESETS, ParityMatrix, build_code, encode, syndrome
+from flashopt import ldpc
+from flashopt.ldpc import (L_MAX, PRESETS, ParityMatrix, build_code, encode,
+                           syndrome)
 from flashopt.mlp import (MlpModel, Sample, load_dataset, load_model,
                           save_dataset, save_model)
-from flashopt.quantizer import (L_MAX, PAGE_STATES, ThresholdSet, input_tails,
-                                llr_table, region_masses, transition_matrix)
+from flashopt.quantizer import (PAGE_STATES, ThresholdSet, input_tails, llr_table,
+                                region_masses, transition_matrix)
 
 conditions = st.builds(Condition, st.floats(0.0, 20000.0), st.floats(0.0, 1e6))
 threshold_sets = st.lists(st.floats(0.01, 6.0), min_size=1, max_size=9,
@@ -33,7 +35,7 @@ cases = settings(max_examples=200, deadline=None, derandomize=True, database=Non
 @cases
 @given(conditions, threshold_sets)
 def test_transition_rows_are_distributions(cond, d):
-    w = transition_matrix(state_models(cond), d).w
+    w = transition_matrix(state_models(cond), d)
     assert w.shape == (4, d.j_levels + 1)
     assert np.all(w >= 0.0)
     assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
@@ -49,7 +51,7 @@ def test_page_information_matches_search_batch(cond, d):
     # absolute (in bits, bits^2) where they are near 0.
     models = state_models(cond)
     half = np.array([0.5, 0.5])
-    rows = transition_matrix(models, d).w[PAGE_STATES].mean(axis=2)
+    rows = transition_matrix(models, d)[PAGE_STATES].mean(axis=2)
     tails = region_masses(input_tails(d.as_array()[None, :], models, PAGE_STATES))
     for by_rows, by_tails in zip(info_iu(rows, half), info_iu(tails, half)):
         assert by_rows == pytest.approx(by_tails[:, 0], rel=1e-12, abs=1e-12)
@@ -58,7 +60,7 @@ def test_page_information_matches_search_batch(cond, d):
 @cases
 @given(conditions, threshold_sets)
 def test_llr_table_finite_and_clamped(cond, d):
-    llr = llr_table(state_models(cond), d).llr
+    llr = llr_table(state_models(cond), d)
     assert llr.shape == (d.j_levels + 1, 2)
     assert np.all(np.isfinite(llr))
     assert np.all(np.abs(llr) <= L_MAX)
@@ -86,8 +88,10 @@ def _llr_loop(w, l_max):
 @given(conditions, threshold_sets, st.sampled_from([2.5, L_MAX]))
 def test_llr_table_equals_loop_reference(cond, d, l_max):
     models = state_models(cond)
-    want = _llr_loop(transition_matrix(models, d).w, l_max)
-    assert np.array_equal(llr_table(models, d, l_max).llr, want)
+    want = _llr_loop(transition_matrix(models, d), l_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ldpc, "L_MAX", l_max)
+        assert np.array_equal(llr_table(models, d), want)
 
 
 json_values = st.recursive(
@@ -196,26 +200,25 @@ def test_threshold_file_lines_parse_to_a_valid_set_or_raise(lines):
 
 @st.composite
 def datasets(draw):
-    n_features = draw(st.integers(1, 8))
-    n_labels = draw(st.integers(1, 6))
+    j = draw(st.integers(1, 7))
     samples = []
     for _ in range(draw(st.integers(1, 5))):
-        f = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n_features,
-                                   max_size=n_features)))
+        f = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=j + 1,
+                                   max_size=j + 1)))
         label = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                              min_size=n_labels, max_size=n_labels, unique=True))
+                              min_size=j, max_size=j, unique=True))
         samples.append(Sample(tuple(f / f.sum()), tuple(sorted(label))))
-    return n_features, samples
+    return j, samples
 
 
 @cases
 @given(datasets())
 def test_dataset_file_roundtrips_exactly(case):
-    n_features, samples = case
+    j, samples = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         save_dataset(samples, path)
-        assert load_dataset(path, n_features) == samples
+        assert load_dataset(path, j) == samples
 
 
 @cases

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from flashopt import ldpc
 from flashopt.channel import Condition, StateModel, state_models
-from flashopt.quantizer import (PAGE_STATES, DmcChannel, ThresholdSet,
-                                gray_state, hard_thresholds, llr_table,
-                                quantize, transition_matrix)
+from flashopt.quantizer import (PAGE_STATES, ThresholdSet, gray_state,
+                                hard_thresholds, llr_table, quantize,
+                                transition_matrix)
 
 # state -> (msb, lsb) of the standard MLC Gray mapping
 GRAY_BITS = ((1, 1), (1, 0), (0, 0), (0, 1))
@@ -71,7 +72,7 @@ def test_quantize_equals_searchsorted(j_levels):
 def test_transition_matrix_matches_quadrature():
     models = state_models(Condition(9000.0, 300.0))
     d = ThresholdSet((1.8, 2.2, 2.6, 2.9, 3.2, 3.5))
-    ch = transition_matrix(models, d)
+    w = transition_matrix(models, d)
     edges = [-np.inf, *d.d, np.inf]
     for i, m in enumerate(models):
         for j in range(len(edges) - 1):
@@ -80,21 +81,15 @@ def test_transition_matrix_matches_quadrature():
             expect = 0.0
             if lo < hi:
                 expect, _ = integrate.quad(lambda v: norm.pdf(v, m.mu, m.sigma), lo, hi)
-            assert ch.w[i, j] == pytest.approx(expect, abs=1e-10)
+            assert w[i, j] == pytest.approx(expect, abs=1e-10)
 
 
 def test_transition_rows_sum_to_one():
     models = state_models(Condition(15000.0, 5000.0))
-    ch = transition_matrix(models, ThresholdSet((2.0, 3.0)))
-    assert np.allclose(ch.w.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose((ch.prior @ ch.w).sum(), 1.0, atol=1e-12)
-
-
-def test_dmc_validation():
-    with pytest.raises(ValueError):
-        DmcChannel(prior=np.array([0.6, 0.6]), w=np.eye(2))
-    with pytest.raises(ValueError):
-        DmcChannel(prior=np.array([0.5, 0.5]), w=np.array([[0.9, 0.2], [0.5, 0.5]]))
+    w = transition_matrix(models, ThresholdSet((2.0, 3.0)))
+    assert w.shape == (4, 3)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose((np.full(4, 0.25) @ w).sum(), 1.0, atol=1e-12)
 
 
 def test_gray_mapping_fixed():
@@ -159,8 +154,8 @@ def test_llr_table_matches_quadrature():
             if num > 0 and den > 0:
                 # quadrature loses digits on deep-tail masses, so allow a
                 # small relative term on very large magnitudes
-                assert table.llr[j, col] == pytest.approx(np.log(num / den),
-                                                          abs=1e-7, rel=1e-5)
+                assert table[j, col] == pytest.approx(np.log(num / den),
+                                                      abs=1e-7, rel=1e-5)
 
 
 def test_llr_monte_carlo_sanity():
@@ -180,23 +175,24 @@ def test_llr_monte_carlo_sanity():
         ones = np.count_nonzero(msb[sel])
         zeros = np.count_nonzero(sel) - ones
         if ones > 500 and zeros > 500:
-            assert table.llr[j, 0] == pytest.approx(np.log(ones / zeros), abs=0.08)
+            assert table[j, 0] == pytest.approx(np.log(ones / zeros), abs=0.08)
 
 
 def test_llr_empty_region_is_zero():
     models = state_models(Condition(0.0, 0.0))
     # everything sits far below 50, so the top region has no mass at all
     table = llr_table(models, ThresholdSet((50.0, 60.0)))
-    assert table.llr[2, 0] == 0.0
-    assert table.llr[2, 1] == 0.0
+    assert table[2, 0] == 0.0
+    assert table[2, 1] == 0.0
 
 
-def test_llr_clamped_to_l_max():
+def test_llr_clamped_to_l_max(monkeypatch):
     models = state_models(Condition(0.0, 0.0))
     d = ThresholdSet(hard_thresholds(models))
-    table = llr_table(models, d, l_max=2.5)
-    assert np.all(np.abs(table.llr) <= 2.5 + 1e-12)
     strong = llr_table(models, d)
-    assert np.max(np.abs(strong.llr)) <= 30.0
-    assert np.max(np.abs(strong.llr)) > 2.5
+    assert strong.shape == (d.j_levels + 1, 2)
+    assert np.max(np.abs(strong)) <= 30.0
+    assert np.max(np.abs(strong)) > 2.5
+    monkeypatch.setattr(ldpc, "L_MAX", 2.5)  # read at call time
+    assert np.all(np.abs(llr_table(models, d)) <= 2.5 + 1e-12)
 

@@ -49,6 +49,14 @@ def runs(out: Path):
                                "--hidden", "16,8", "--epochs", "300", "--batch", "5",
                                "--model-out", out / "train-dataset-in.model.bin",
                                "--loss-out", out / "train-dataset-in.loss.csv"]
+    # rows of 2J+1 values at J 3, written and read back
+    yield "train-j3", ["train", "--j-levels", "3", "--count", "8", "--cells", "5000",
+                       "--pe-set", "4000,6000", "--epochs", "50", "--batch", "4",
+                       "--dataset-out", out / "train-j3.dataset.csv"]
+    yield "train-j3-dataset-in", ["train", "--j-levels", "3",
+                                  "--dataset-in", out / "train-j3.dataset.csv",
+                                  "--epochs", "50", "--batch", "4",
+                                  "--model-out", out / "train-j3-dataset-in.model.bin"]
     yield "optimize-cis", ["optimize", "--n-pe", "12000", "--t-ret", "1000",
                            "--out", out / "optimize-cis.txt",
                            "--history-out", out / "optimize-cis.history.csv"]
