@@ -31,7 +31,7 @@ class Field(NamedTuple):
     """One config key: the kind of its values and the subcommands that take
     it.  Its flag is the key with dashes (a dict-valued section has none).
     A list field takes a comma-separated string or a JSON list of its kind;
-    a single value is a list of one."""
+    a single value is a list of one, and an empty list is an error."""
 
     key: str
     kind: type                 # float, int, str (a path or a choice) or dict
@@ -57,9 +57,12 @@ class Field(NamedTuple):
                 return self._one(value)
             items = ([tok for tok in value.split(",") if tok] if isinstance(value, str)
                      else value if isinstance(value, list) else [value])
-            return tuple(self._one(v) for v in items)
+            parsed = tuple(self._one(v) for v in items)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{self.key} must be {self.what}, got {value!r}") from None
+        if not parsed:
+            raise ValueError(f"{self.key} must hold at least one item, got {value!r}")
+        return parsed
 
     def _one(self, value):
         if isinstance(value, str) and self.kind in (float, int):

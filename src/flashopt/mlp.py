@@ -66,10 +66,7 @@ class MlpModel:
     y_scale: np.ndarray = None
 
     def __post_init__(self):
-        if len(self.dims) < 2:
-            raise ValueError("need at least input and output layers")
-        if min(self.dims) < 1:
-            raise ValueError(f"every layer needs at least one unit, got dims {tuple(self.dims)}")
+        _check_dims(self.dims)
         if len(self.weights) != len(self.dims) - 1 or len(self.biases) != len(self.dims) - 1:
             raise ValueError("parameter count does not match layer count")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -147,8 +144,16 @@ def _sigmoid(z, e=None):
     return z
 
 
+def _check_dims(dims) -> None:
+    if len(dims) < 2:
+        raise ValueError("need at least input and output layers")
+    if min(dims) < 1:
+        raise ValueError(f"every layer needs at least one unit, got dims {tuple(dims)}")
+
+
 def xavier_model(dims, seed: int = 0, scale: float = THRESHOLD_SCALE) -> MlpModel:
     """Uniform Xavier-initialized model with zero biases."""
+    _check_dims(dims)  # before a draw, which fails on a negative width
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for nin, nout in zip(dims[:-1], dims[1:]):

@@ -25,7 +25,10 @@ next to the moved threshold.  Each condition's best final point wins,
 with ties broken toward the smaller threshold vector.
 
 A mutual-information-maximizing variant of the same search provides the
-classic baseline for comparison.
+classic baseline for comparison.  Every search runs through ``_search``:
+``cis_optimize`` and ``cis_optimize_many`` for eps, ``mmi_optimize`` for
+mutual information.  ``eps_max_batch`` scores any threshold rows by the
+eps objective, with the same bits as a search's history.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .channel import Condition, FlashParams, check_numbers, state_models
-from .fbl import eps_max, info_iu, iu_from_sums, q_func, region_terms, t_stat
+from .fbl import eps_max, info_iu, iu_from_sums, region_terms, t_stat
 from .quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
                         input_tails, region_masses, single_states)
 
@@ -80,9 +83,9 @@ class CisConfig:
 # The batch functions evaluate whole threshold rows; the search
 # re-evaluates only the two regions a moved threshold bounds.  Arrays keep
 # channels and inputs on the first two axes and the batch on the trailing
-# axes, so every small reduction runs over whole contiguous blocks.  The
-# public `objective` is `eps_max_batch` on one row, so it gives the same
-# bits as the last entry of a search's history.
+# axes, so every small reduction runs over whole contiguous blocks.
+# `eps_max_batch` on a search's final row gives the same bits as the last
+# entry of its history.
 
 _HALF = np.array([0.5, 0.5])
 _SLICE = 1024  # most candidates a lattice objective scores at once
@@ -122,31 +125,14 @@ def eps_max_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarra
     return eps_max(*t_stat(n, rate, *info_iu(w, _HALF)))
 
 
-def binary_eps_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarray:
-    """Single-page Q(T) objective for a two-state synthetic channel."""
-    w = region_masses(input_tails(np.atleast_2d(d_batch), models, single_states(2)))
-    return q_func(t_stat(n, rate, *info_iu(w, _HALF))[0])
-
-
-def objective(d: ThresholdSet, cond: Condition, params: FlashParams,
-              n: int, rate: float) -> float:
-    """Two-page eps_max of the quantized channel at one operating point."""
-    return float(eps_max_batch(d.as_array(), state_models(cond, params), n, rate)[0])
-
-
 # -- search ------------------------------------------------------------------
 
-def init_thresholds(models, j_levels: int) -> ThresholdSet:
-    """Initial thresholds spanning the hard-decision range.
+def init_thresholds(h, j_levels: int) -> ThresholdSet:
+    """Initial thresholds spanning the hard-decision crossings h.
 
     The recipe anchors d_1 one spacing below the first crossing and d_J
     one spacing above the last, leaving a double-width gap after d_1.
     """
-    return _recipe(hard_thresholds(models), j_levels)
-
-
-def _recipe(h, j_levels: int) -> ThresholdSet:
-    """init_thresholds from the hard-decision crossings h."""
     if j_levels < 3:
         raise ValueError("initialization needs at least 3 levels")
     h1, h3 = h[0], h[-1]
@@ -250,28 +236,6 @@ class _Lattice:
         self._terms[:, :, sid, j:j + 2] = np.moveaxis(self._moved_terms(choice), 2, -1)
 
 
-class _Rows:
-    """Any batch objective on threshold rows (C, J), as a lattice objective."""
-
-    def __init__(self, f, step: float):
-        self.f, self.step = f, step
-
-    def full(self, k: np.ndarray) -> np.ndarray:
-        return self.f(k * self.step)
-
-    def reset(self, k: np.ndarray, margin: int) -> None:
-        pass
-
-    def __call__(self, k: np.ndarray, j: int, sid: np.ndarray,
-                 cand: np.ndarray) -> np.ndarray:
-        moved = k[sid]
-        moved[:, j] = cand
-        return self.f(moved * self.step)
-
-    def accept(self, sid: np.ndarray, j: int, choice: np.ndarray) -> None:
-        pass
-
-
 def _descend(obj, starts: np.ndarray, cfg: CisConfig):
     """Cyclic per-coordinate lattice descent from every row of ``starts``.
 
@@ -325,40 +289,6 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
     return trail, last
 
 
-def _best_paths(obj, starts: np.ndarray, cond: np.ndarray, cfg: CisConfig) -> list:
-    """For each condition, in order, the path of its start that ends
-    lowest (ties: smallest thresholds): its thresholds at the start and
-    after each sweep.  Start s belongs to cond[s]."""
-    trail, last = _descend(obj, starts, cfg)
-    ends = trail[-1]
-    score = obj.full(ends)
-    wins = [min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))
-            for c in range(cond[-1] + 1)]
-    return [np.array([step[s] for step in trail[:last[s] + 1]]) for s in wins]
-
-
-def _snap(d, step: float) -> np.ndarray:
-    return np.rint(np.asarray(d, dtype=float) / step).astype(np.int64)
-
-
-def coordinate_search(f, d0: np.ndarray, cfg: CisConfig):
-    """Cyclic per-coordinate grid descent of a batch objective.
-
-    ``f`` maps an array of candidate threshold rows (C, J) to objective
-    values (C,).  The start is rounded to the lattice of multiples of
-    cfg.grid_step, and each coordinate is restricted to the open interval
-    between its neighbours (and above 0), so ordering is preserved at
-    every step.  Returns the final vector and the per-sweep objective
-    history (nonincreasing, starting at the rounded start).
-    """
-    k0 = _snap(d0, cfg.grid_step)
-    if k0[0] < 1 or np.any(np.diff(k0) <= 0):
-        raise ValueError("start must be positive and increasing on the grid")
-    path, = _best_paths(_Rows(f, cfg.grid_step), k0[None, :], np.zeros(1, int), cfg)
-    path = path * cfg.grid_step
-    return path[-1], f(path).tolist()
-
-
 def _jittered_starts(d0: np.ndarray, delta: float, cfg: CisConfig, seed):
     if not cfg.restarts:
         return []
@@ -383,13 +313,13 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
     h = hard_thresholds(models)
-    d0 = _recipe(h, j_levels).as_array()
+    d0 = init_thresholds(h, j_levels).as_array()
     delta = (h[-1] - h[0]) / (j_levels - 1)
     starts = [d0, *_jittered_starts(d0, delta, cfg, seed)]
     for k1 in range(1, j_levels - 1):
         for k2 in range(1, j_levels - k1):
             starts.append(_split_start(h, delta, (k1, k2, j_levels - k1 - k2)))
-    k = _snap(starts, cfg.grid_step)
+    k = np.rint(np.array(starts) / cfg.grid_step).astype(np.int64)
     k = k[(k[:, 0] >= 1) & np.all(np.diff(k, axis=1) > 0, axis=1)]
     if not len(k):
         raise ValueError(f"grid_step {cfg.grid_step} is too coarse for "
@@ -398,11 +328,18 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
 
 
 def _search(models, cfg: CisConfig, seed, groups, prior, stat, order) -> list:
-    """Lattice paths of the winning starts, one per condition's models."""
+    """For each condition's models, in order, the lattice path of its start
+    that ends lowest (ties: smallest thresholds): its thresholds at the
+    start and after each sweep."""
     starts = [_starts(m, cfg, seed) for m in models]
     cond = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     obj = _Lattice(models, cond, cfg.grid_step, groups, prior, stat, order)
-    return _best_paths(obj, np.concatenate(starts), cond, cfg)
+    trail, last = _descend(obj, np.concatenate(starts), cfg)
+    ends = trail[-1]
+    score = obj.full(ends)
+    wins = [min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))
+            for c in range(len(starts))]
+    return [np.array([step[s] for step in trail[:last[s] + 1]]) for s in wins]
 
 
 def cis_optimize_many(conds, params: FlashParams, n: int, rate: float,

@@ -303,12 +303,14 @@ def test_dataset_row_of_other_width_than_2j_plus_1_exits_2(tmp_path, capsys, wid
     assert not (tmp_path / "m.bin").exists()
 
 
-def test_hidden_layer_of_width_0_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_hidden_layer_narrower_than_1_exits_2(tmp_path, capsys, width):
     path = _dataset(tmp_path, [_ROW, _ROW])
-    rc = main(["train", "--dataset-in", str(path), "--epochs", "1", "--hidden", "0",
+    rc = main(["train", "--dataset-in", str(path), "--epochs", "1", f"--hidden={width}",
                "--model-out", str(tmp_path / "m.bin")])
     assert rc == 2
-    assert "dims (7, 0, 6)" in capsys.readouterr().err
+    assert (f"every layer needs at least one unit, got dims (7, {width}, 6)"
+            in capsys.readouterr().err)
     assert not (tmp_path / "m.bin").exists()
 
 
@@ -443,6 +445,20 @@ def test_ccr_single_key_with_its_list_key_exits_2(one, many, capsys):
     captured = capsys.readouterr()
     assert f"give {one} or {many}, not both" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", [f.key for f in FIELDS.values() if f.many])
+def test_empty_list_value_exits_2(tmp_path, capsys, key):
+    # read as unset, an empty list would run the default in its place
+    field = FIELDS[key]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: []}))
+    for argv in ([field.commands[0], field.flag, ""],
+                 [field.commands[0], "--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{key} must hold at least one item" in captured.err
+        assert captured.out == ""
 
 
 def test_list_keys_take_json_lists_and_comma_strings():
