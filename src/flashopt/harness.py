@@ -11,7 +11,10 @@ Three entry points, each sweeping a grid of wear/retention conditions:
 
 run_fer and run_pipeline share one per-point set-up (condition,
 reference quantizer, thresholds, LLR table); only their frame loops
-differ.  Sweep rows are dicts whose keys are the CSV header.
+differ.  The reference quantizer, a CIS at zero retention, is searched
+once per wear level where needed, and a missing model or threshold file
+is reported before any work.  Sweep rows are dicts whose keys are the
+CSV header.
 
 All randomness is keyed by (seed, point, frame) so any row of a sweep
 can be reproduced in isolation and runs are byte-identical across
@@ -71,6 +74,8 @@ class ExperimentConfig:
         check_numbers(self, ("rate_eps",))
         if self.source is not None and self.source not in SOURCES:
             raise ValueError(f"unknown threshold source {self.source!r}")
+        if self.source == "file" and self.thresholds_file is None:
+            raise ValueError("source 'file' needs thresholds_file")
         # a dataclass's class attributes are its fields' defaults
         if self.code_list and self.code != ExperimentConfig.code:
             raise ValueError("give code or code_list, not both")
@@ -142,14 +147,6 @@ def predict_thresholds(model: MlpModel, features) -> ThresholdSet:
     return ThresholdSet(tuple(_repair_increasing(forward(model, features))))
 
 
-def _zero_retention(cfg: ExperimentConfig, n_pe: float, n: int,
-                    rate: float) -> ThresholdSet:
-    """CIS thresholds at zero retention: the stale "cis-t0" thresholds of a
-    wear level, and the reference quantizer its histograms are taken with."""
-    return cis_optimize(Condition(n_pe, 0.0), cfg.params, n, rate, cfg.cis,
-                        seed=cfg.seed)[0]
-
-
 def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: float,
                        model: MlpModel | None = None, features=None,
                        ref: ThresholdSet | None = None) -> ThresholdSet:
@@ -157,10 +154,9 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
 
     The "hard" source always yields the three pairwise-crossing levels
     regardless of cfg.cis.j_levels.  "cis-t0" returns ``ref``, the wear
-    level's zero-retention thresholds, and searches for them only when
-    none is passed.  The "dnn" source featurizes `features` (readback
-    voltages are not available here, so callers supply the histogram)
-    through `model`.
+    level's zero-retention thresholds, which the caller searches.  The
+    "dnn" source pushes ``features``, a histogram the caller takes against
+    ``ref`` (readback voltages are not available here), through ``model``.
     """
     if cfg.source is None:
         cfg = replace(cfg, source=_SEARCH)
@@ -171,22 +167,24 @@ def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: flo
     if cfg.source == "cis":
         return cis_optimize(cond, cfg.params, n, rate, cfg.cis, seed=cfg.seed)[0]
     if cfg.source == "cis-t0":
-        return ref if ref is not None else _zero_retention(cfg, cond.n_pe, n, rate)
+        if ref is None:
+            raise ValueError("source 'cis-t0' needs ref")
+        return ref
     if cfg.source == "file":
-        if cfg.thresholds_file is None:
-            raise ValueError("source 'file' needs thresholds_file")
         return ThresholdSet.from_file(cfg.thresholds_file)
-    if model is None:
-        raise ValueError("source 'dnn' needs a model")
-    if features is None:
-        raise ValueError("source 'dnn' needs a feature histogram")
+    if model is None or features is None:
+        raise ValueError("source 'dnn' needs a model and a feature histogram")
     return predict_thresholds(model, features)
 
 
-def _load_model_if_needed(cfg: ExperimentConfig, model):
+def _load_model(cfg: ExperimentConfig, model, user: str) -> MlpModel:
+    """``model``, else cfg.model_file's, for ``user``, which needs one with
+    cfg.cis.j_levels outputs."""
     if model is None and cfg.model_file is not None:
         model = load_model(cfg.model_file)
-    if model is not None and model.n_outputs != cfg.cis.j_levels:
+    if model is None:
+        raise ValueError(f"{user} needs a model (model or cfg.model_file)")
+    if model.n_outputs != cfg.cis.j_levels:
         raise ValueError(f"model gives {model.n_outputs} thresholds; "
                          f"j_levels is {cfg.cis.j_levels}")
     return model
@@ -200,7 +198,8 @@ def _points(cfg: ExperimentConfig, spec, model, need_ref: bool):
     need_ref = need_ref or cfg.source in ("cis-t0", "dnn")
     point = 0
     for n_pe in cfg.pe_list:
-        ref = _zero_retention(cfg, n_pe, spec.n, spec.rate) if need_ref else None
+        ref = cis_optimize(Condition(n_pe, 0.0), cfg.params, spec.n, spec.rate, cfg.cis,
+                           seed=cfg.seed)[0] if need_ref else None
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
             features = None
@@ -252,8 +251,8 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     how the controller would estimate wear state online.
     """
     cfg = replace(cfg, source=cfg.source or _SEARCH)
+    model = _load_model(cfg, model, "source 'dnn'") if cfg.source == "dnn" else None
     code = build_code(cfg.code, seed=cfg.code_seed)
-    model = _load_model_if_needed(cfg, model) if cfg.source == "dnn" else None
     rows = []
     for point, cond, _, _, d, table in _points(cfg, code.spec, model, need_ref=False):
         errors = 0
@@ -314,10 +313,8 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
     state statistics evaluated at whichever thresholds are active.
     """
     cfg = replace(cfg, source=cfg.source or "cis-t0")
+    model = _load_model(cfg, model, "run_pipeline")
     code = build_code(cfg.code, seed=cfg.code_seed)
-    model = _load_model_if_needed(cfg, model)
-    if model is None:
-        raise ValueError("run_pipeline needs a model (model or cfg.model_file)")
     results = []
     for point, cond, ref, models, current, table in _points(cfg, code.spec, model,
                                                             need_ref=True):

@@ -336,16 +336,6 @@ def encode(code: LdpcCode, info) -> np.ndarray:
     return c
 
 
-def syndrome(pm, bits) -> np.ndarray:
-    """Parity of each check; accepts a code or its parity matrix."""
-    pm = getattr(pm, "h", pm)
-    bits = np.asarray(bits)
-    if bits.shape != (pm.n_cols,):
-        raise ValueError(f"expected {pm.n_cols} bits, got {bits.shape}")
-    odd = np.append(bits.astype(np.int64) & 1, 0).astype(bool)
-    return _parity(odd[pm.slots[1]]).astype(np.int64)
-
-
 def _parity(odd) -> np.ndarray:
     """Per-check parity of a (W, m) slot array of bools, False on the pads."""
     return np.bitwise_xor.reduce(odd, axis=0)

@@ -351,13 +351,6 @@ class GenConfig:
             raise ValueError("rate must lie in (0, 1)")
 
 
-def reference_thresholds(n_pe: float, params: FlashParams, cfg: GenConfig) -> ThresholdSet:
-    """Featurization reference: thresholds optimized at zero retention."""
-    d, _ = cis_optimize(Condition(n_pe, 0.0), params, cfg.block_n, cfg.rate,
-                        cfg.cis, seed=0)
-    return d
-
-
 def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
                       cfg: GenConfig = GenConfig(), seed: int = 0):
     """Seeded dataset: histogram features against CIS-optimal labels.
@@ -365,7 +358,8 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
     Cycling counts are drawn uniformly from pe_set and retention times
     uniformly over t_range.  Generation runs in two phases.  First each
     sample's own SeedSequence child draws its condition, cells and
-    voltages, of which only the condition and the histogram features are
+    voltages, of which only the condition and the histogram features,
+    taken against the wear level's CIS thresholds at zero retention, are
     kept.  Then the labels are designed in blocks of 8 consecutive
     samples: each sample still makes its own cis_optimize call, but the
     first call of a block searches all of the block's conditions in one
@@ -382,7 +376,8 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
     lo, hi = t_range
     if not (math.isfinite(hi) and 0 <= lo < hi):
         raise ValueError("t_range must be finite and satisfy 0 <= lo < hi")
-    refs = {pe: reference_thresholds(pe, params, cfg) for pe in pe_set}
+    refs = {pe: cis_optimize(Condition(pe, 0.0), params, cfg.block_n, cfg.rate, cfg.cis,
+                             seed=0)[0] for pe in pe_set}
     drawn = []
     for child in np.random.SeedSequence(seed).spawn(cfg.count):
         rng = np.random.default_rng(child)

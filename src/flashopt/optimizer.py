@@ -19,10 +19,12 @@ changes with wear and retention, so the search starts from several
 points: the initial recipe, one deterministic start per split
 (k1, k2, k3) with every k_i >= 1 (k_i thresholds centred on crossing i,
 delta/2 apart), and optionally seeded jittered copies of the recipe.
-All starts of all conditions run in lockstep, one batch of (starts x
-candidates) per coordinate, and a move re-evaluates only the two regions
-next to the moved threshold.  Each condition's best final point wins,
-with ties broken toward the smaller threshold vector.
+Only a start that does not round to positive, strictly increasing
+lattice points is dropped.  All starts of all conditions run in
+lockstep, one batch of (starts x candidates) per coordinate, and a move
+re-evaluates only the two regions next to the moved threshold.  The
+region terms kept for those moves also score the final points: each
+condition's best final point wins, ties going to the smaller thresholds.
 
 A mutual-information-maximizing variant of the same search provides the
 classic baseline for comparison.  Every search runs through ``_search``:
@@ -127,11 +129,12 @@ def eps_max_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarra
 
 # -- search ------------------------------------------------------------------
 
-def init_thresholds(h, j_levels: int) -> ThresholdSet:
+def init_thresholds(h, j_levels: int) -> np.ndarray:
     """Initial thresholds spanning the hard-decision crossings h.
 
     The recipe anchors d_1 one spacing below the first crossing and d_J
     one spacing above the last, leaving a double-width gap after d_1.
+    The row may start at or below 0 V; the search drops such starts.
     """
     if j_levels < 3:
         raise ValueError("initialization needs at least 3 levels")
@@ -142,7 +145,7 @@ def init_thresholds(h, j_levels: int) -> ThresholdSet:
     for j in range(2, j_levels):
         d[j - 1] = h1 + (j - 1) * delta
     d[-1] = h3 + delta
-    return ThresholdSet(tuple(d))
+    return d
 
 
 class _Lattice:
@@ -174,11 +177,6 @@ class _Lattice:
         self._table = np.concatenate((self._table, new.reshape(new.shape[:2] + (-1,))),
                                      axis=-1)
         self._size = size
-
-    def full(self, k: np.ndarray) -> np.ndarray:
-        """Objective of each start's row of lattice indices."""
-        w = region_masses(np.take(self._table, self._index(k, self.cond[:, None]), axis=-1))
-        return self.order(self.stat(*info_iu(w, self.prior)), self.cond)
 
     def reset(self, k: np.ndarray, margin: int) -> None:
         """Start from the thresholds k (one row per start); the table keeps
@@ -234,6 +232,10 @@ class _Lattice:
         """Starts sid moved threshold j to the candidates at positions choice
         of the last call."""
         self._terms[:, :, sid, j:j + 2] = np.moveaxis(self._moved_terms(choice), 2, -1)
+
+    def score(self) -> np.ndarray:
+        """Objective of every start's current thresholds, from the kept terms."""
+        return self.order(self.stat(*iu_from_sums(self._terms.sum(axis=-1))), self.cond)
 
 
 def _descend(obj, starts: np.ndarray, cfg: CisConfig):
@@ -313,7 +315,7 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
     h = hard_thresholds(models)
-    d0 = init_thresholds(h, j_levels).as_array()
+    d0 = init_thresholds(h, j_levels)
     delta = (h[-1] - h[0]) / (j_levels - 1)
     starts = [d0, *_jittered_starts(d0, delta, cfg, seed)]
     for k1 in range(1, j_levels - 1):
@@ -322,8 +324,9 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     k = np.rint(np.array(starts) / cfg.grid_step).astype(np.int64)
     k = k[(k[:, 0] >= 1) & np.all(np.diff(k, axis=1) > 0, axis=1)]
     if not len(k):
-        raise ValueError(f"grid_step {cfg.grid_step} is too coarse for "
-                         f"{j_levels} levels")
+        raise ValueError(f"the first state crossing, {h[0]:.3g} V, lies below the first "
+                         f"lattice point, {cfg.grid_step} V" if h[0] < cfg.grid_step else
+                         f"grid_step {cfg.grid_step} is too coarse for {j_levels} levels")
     return k
 
 
@@ -335,8 +338,7 @@ def _search(models, cfg: CisConfig, seed, groups, prior, stat, order) -> list:
     cond = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     obj = _Lattice(models, cond, cfg.grid_step, groups, prior, stat, order)
     trail, last = _descend(obj, np.concatenate(starts), cfg)
-    ends = trail[-1]
-    score = obj.full(ends)
+    ends, score = trail[-1], obj.score()
     wins = [min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))
             for c in range(len(starts))]
     return [np.array([step[s] for step in trail[:last[s] + 1]]) for s in wins]

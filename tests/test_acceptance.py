@@ -18,10 +18,10 @@ from flashopt.fbl import info_iu, q_func, q_inv
 from flashopt.harness import (ExperimentConfig, cp_interval, run_ccr, run_fer,
                               run_pipeline)
 from flashopt.ldpc import (ParityMatrix, PRESETS, build_code, code_from_matrix,
-                           encode, sp_decode, syndrome)
+                           encode, sp_decode)
 from flashopt.mlp import (GenConfig, TrainConfig, backprop, forward,
                           gen_training_data, histogram_features, mse_loss,
-                          reference_thresholds, save_model, train, xavier_model)
+                          save_model, train, xavier_model)
 from flashopt.optimizer import CisConfig, cis_optimize, eps_max_batch, mmi_optimize
 from flashopt.quantizer import ThresholdSet, hard_thresholds
 
@@ -214,9 +214,10 @@ def test_criterion_6_decoder_correctness(capsys):
     encode_ok = True
     for name in PRESETS:
         code = build_code(name, seed=0)
+        h = code.h.dense().astype(np.int64)
         for _ in range(100):
             cw = encode(code, rng.integers(0, 2, code.info_len))
-            if np.any(syndrome(code, cw)):
+            if np.any(h @ cw % 2):
                 encode_ok = False
     ok = flips_ok and encode_ok
     _report(capsys, 6, ok,
@@ -258,7 +259,8 @@ def test_criterion_7_regressor_integrity(capsys, dataset, trained):
     mse_final = mse_loss(model, xs, ys)
     mse_ok = mse_final <= mse_init / 10.0
 
-    refs = {pe: reference_thresholds(pe, DEFAULT_PARAMS, GEN) for pe in PE_SET}
+    refs = {pe: cis_optimize(Condition(pe, 0.0), DEFAULT_PARAMS, GEN.block_n, GEN.rate,
+                             GEN.cis, seed=0)[0] for pe in PE_SET}
     rng_ev = np.random.default_rng(999)
     within = 0
     for _ in range(50):

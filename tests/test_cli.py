@@ -402,6 +402,14 @@ def test_params_file_reads_as_params_section(tmp_path, capsys):
     assert printed[0] == printed[1] != printed[2]
 
 
+def test_optimize_with_the_recipe_start_below_0_volts(tmp_path, capsys):
+    # the recipe's first threshold lies below 0 V; the other starts search
+    params_file = tmp_path / "p.json"
+    params_file.write_text(json.dumps({"v_target": [0.1, 0.7, 1.3, 1.9]}))
+    assert main(["optimize", "--params-file", str(params_file), "--j-levels", "3"]) == 0
+    assert [float(v) for v in capsys.readouterr().out.split()] == [0.48, 1.08, 1.4]
+
+
 @pytest.mark.parametrize("route", ["params_file", "params"])
 @pytest.mark.parametrize("key", ["sigma_q", "drn_log"])
 def test_unknown_params_key_exits_2(tmp_path, capsys, route, key):

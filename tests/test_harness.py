@@ -154,18 +154,47 @@ def test_resolve_thresholds_sources(tmp_path):
     assert np.allclose(d.as_array(), hard_thresholds(state_models(cond)))
 
     d_cis = resolve_thresholds(ExperimentConfig(source="cis"), cond, 2624, 0.9)
-    d_t0 = resolve_thresholds(ExperimentConfig(source="cis-t0"), cond, 2624, 0.9)
-    assert d_cis == d_t0  # t_ret is already zero here
+    # "cis-t0" returns the reference its caller searched, and searches none
+    cfg_t0 = ExperimentConfig(source="cis-t0")
+    assert resolve_thresholds(cfg_t0, cond, 2624, 0.9, ref=d_cis) == d_cis
+    with pytest.raises(ValueError, match="source 'cis-t0' needs ref"):
+        resolve_thresholds(cfg_t0, cond, 2624, 0.9)
 
     path = tmp_path / "d.txt"
     d_cis.to_file(path)
     cfg_file = ExperimentConfig(source="file", thresholds_file=str(path))
     assert resolve_thresholds(cfg_file, cond, 2624, 0.9) == d_cis
 
-    with pytest.raises(ValueError):
-        resolve_thresholds(ExperimentConfig(source="file"), cond, 2624, 0.9)
+    with pytest.raises(ValueError, match="source 'file' needs thresholds_file"):
+        ExperimentConfig(source="file")
     with pytest.raises(ValueError):
         resolve_thresholds(ExperimentConfig(source="dnn"), cond, 2624, 0.9)
+
+
+NINE = ThresholdSet(tuple(0.4 * k for k in range(1, 10)))
+
+
+@pytest.mark.parametrize("driver, settings, model, message", [
+    (run_fer, {"source": "file"}, None, "source 'file' needs thresholds_file"),
+    (run_pipeline, {"source": "file"}, None, "source 'file' needs thresholds_file"),
+    (run_fer, {"source": "dnn"}, None, "source 'dnn' needs a model"),
+    (run_pipeline, {}, None, "run_pipeline needs a model"),
+    (run_fer, {"source": "dnn"}, constant_model(NINE), "j_levels is 6"),
+    (run_pipeline, {}, constant_model(NINE), "j_levels is 6"),
+])
+def test_missing_inputs_are_reported_before_any_work(monkeypatch, driver, settings,
+                                                     model, message):
+    calls = []
+
+    def spy(name):
+        real = getattr(harness, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("build_code", "cis_optimize"):
+        monkeypatch.setattr(harness, name, spy(name))
+    with pytest.raises(ValueError, match=message):
+        driver(ExperimentConfig(frames=1, **settings), model=model)
+    assert calls == []
 
 
 def test_predict_thresholds_dimension_mismatch():

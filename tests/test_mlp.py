@@ -14,8 +14,8 @@ from flashopt.channel import DEFAULT_PARAMS, Condition, sample_wordline
 from flashopt.mlp import (GenConfig, MlpModel, Sample, TrainConfig,
                           adam_step_inplace, backprop, forward,
                           gen_training_data, histogram_features, load_dataset,
-                          load_model, mse_loss, reference_thresholds,
-                          save_dataset, save_model, train, xavier_model)
+                          load_model, mse_loss, save_dataset, save_model,
+                          train, xavier_model)
 from flashopt.optimizer import CisConfig, cis_optimize
 from flashopt.quantizer import ThresholdSet
 
@@ -432,14 +432,6 @@ def test_dataset_rejects_bad_row_with_its_line(tmp_path, bad_row, message):
         load_dataset(path, j_levels=2)
 
 
-def test_reference_thresholds_match_cis_at_zero_retention():
-    cfg = GenConfig()
-    ref = reference_thresholds(8000.0, DEFAULT_PARAMS, cfg)
-    d, _ = cis_optimize(Condition(8000.0, 0.0), DEFAULT_PARAMS,
-                        cfg.block_n, cfg.rate, cfg.cis, seed=0)
-    assert ref == d
-
-
 def test_gen_training_data_deterministic_and_valid():
     cfg = GenConfig(count=6)
     a = gen_training_data(DEFAULT_PARAMS, (6000.0,), (0.0, 1e4), 2000, cfg, seed=3)
@@ -515,8 +507,7 @@ def test_gen_training_data_rejects_bad_t_range_before_searching(monkeypatch, t_r
 
 def test_features_shift_with_retention():
     """Retention drags voltages down, so low regions gain mass."""
-    cfg = GenConfig()
-    ref = reference_thresholds(8000.0, DEFAULT_PARAMS, cfg)
+    ref, _ = cis_optimize(Condition(8000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
     rng = np.random.default_rng(0)
     states = rng.integers(0, 4, 50_000)
     fresh = histogram_features(

@@ -1,6 +1,7 @@
 """Threshold search tests, including brute-force grid oracles."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_init_recipe_spacing():
     models = state_models(Condition(0.0, 0.0))
     h = hard_thresholds(models)
     delta = (h[2] - h[0]) / 5
-    d = init_thresholds(h, 6).as_array()
+    d = init_thresholds(h, 6)
     expect = [h[0] - delta, h[0] + delta, h[0] + 2 * delta, h[0] + 3 * delta,
               h[0] + 4 * delta, h[2] + delta]
     assert np.allclose(d, expect, atol=1e-12)
@@ -50,6 +51,28 @@ def test_init_needs_three_levels():
     models = state_models(Condition(0.0, 0.0))
     with pytest.raises(ValueError):
         init_thresholds(hard_thresholds(models), 2)
+
+
+@pytest.mark.parametrize("v_target, cond, j_levels, expect", [
+    ((0.1, 0.7, 1.3, 1.9), Condition(0.0, 0.0), 3, (0.48, 1.08, 1.4)),
+    ((0.0, 0.4, 1.0, 1.6), Condition(0.0, 0.0), 3, (0.4, 0.7, 1.2)),
+    ((0.0, 0.4, 1.0, 1.6), Condition(0.0, 0.0), 6, (0.05, 0.15, 0.25, 0.55, 0.7, 1.2)),
+])
+def test_search_drops_a_recipe_start_at_or_below_0_volts(v_target, cond, j_levels, expect):
+    # the recipe's first threshold lies one spacing below the first
+    # crossing, at or below 0 V here; the split starts still search
+    params = replace(DEFAULT_PARAMS, v_target=v_target)
+    h = hard_thresholds(state_models(cond, params))
+    assert init_thresholds(h, j_levels)[0] <= 0.0
+    d, _ = cis_optimize(cond, params, 2624, 0.9, CisConfig(j_levels=j_levels), seed=0)
+    assert d.as_array() == pytest.approx(expect, abs=1e-12)
+
+
+def test_search_names_crossings_below_the_lattice():
+    params = replace(DEFAULT_PARAMS, v_target=(-1.0, 0.2, 0.8, 1.4))
+    with pytest.raises(ValueError, match=r"crossing, -0.0684 V, lies below the first "
+                                         r"lattice point, 0.01 V"):
+        cis_optimize(Condition(0.0, 0.0), params, 2624, 0.9, CisConfig(j_levels=3), seed=0)
 
 
 def test_mmi_result_is_a_grid_fixed_point_of_mutual_information():
@@ -87,7 +110,7 @@ def test_cis_no_worse_than_init():
     cond = Condition(13000.0, 200.0)
     models = state_models(cond)
     d0 = init_thresholds(hard_thresholds(models), 6)
-    e0 = eps_max_batch(d0.as_array(), models, 2624, 0.9)[0]
+    e0 = eps_max_batch(d0, models, 2624, 0.9)[0]
     d, history = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
     assert history[-1] <= e0 * (1 + 1e-12)
 
@@ -111,7 +134,7 @@ def test_more_levels_do_not_hurt():
 def test_mmi_beats_init_on_mutual_information():
     cond = Condition(9000.0, 100.0)
     models = state_models(cond)
-    d0 = init_thresholds(hard_thresholds(models), 6)
+    d0 = ThresholdSet(tuple(init_thresholds(hard_thresholds(models), 6)))
     d = mmi_optimize(cond, DEFAULT_PARAMS, seed=0)
     i0 = mutual_information(models, d0)
     i1 = mutual_information(models, d)

@@ -4,8 +4,10 @@ Usage:  python3 tools/fixed_seed_outputs.py OUTDIR
 
 Each run is ``python -m flashopt`` on this checkout's ``src/`` with one
 BLAS thread; its result files and its stdout (``<run>.stdout``) land in
-OUTDIR.  A change that must keep outputs byte-identical is checked by
-running this script on both commits and comparing the two directories:
+OUTDIR, which must be new or empty (exit 2 otherwise), so that no file of
+an earlier run can stand in for one this run failed to write.  A change
+that must keep outputs byte-identical is checked by running this script
+on both commits, each into a fresh directory, and comparing the two:
 
     diff -r OUTDIR_BEFORE OUTDIR_AFTER
 """
@@ -117,6 +119,9 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"{out} exists and is not an empty directory", file=sys.stderr)
+        return 2
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, **dict.fromkeys(BLAS_THREADS, "1")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
