@@ -198,12 +198,9 @@ def _print_rows(rows) -> None:
 def _cmd_optimize(args) -> int:
     s, params, cis = _settings(args)
     cond = Condition(**_pick(s, "n_pe", "t_ret"))
-    seed, rate = s.get("seed", 0), s.get("rate", 0.9)
-    if not 0 < rate < 1:
-        raise ValueError("rate must lie in (0, 1)")
+    seed, code = s.get("seed", 0), GenConfig(**_pick(s, "block_n", "rate"))
     if s.get("method", "cis") == "cis":
-        d, history = cis_optimize(cond, params, s.get("block_n", 2624), rate, cis,
-                                  seed=seed)
+        d, history = cis_optimize(cond, params, code.block_n, code.rate, cis, seed=seed)
     else:
         d, history = mmi_optimize(cond, params, cis, seed=seed), []
     if s.get("out"):

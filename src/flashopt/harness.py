@@ -10,11 +10,12 @@ Three entry points, each sweeping a grid of wear/retention conditions:
   trigger a network re-estimate of the thresholds and one retry.
 
 run_fer and run_pipeline share one per-point set-up (condition,
-reference quantizer, thresholds, LLR table); only their frame loops
+reference quantizer, thresholds, LLR table), which alone picks the
+thresholds from the source each driver sets; only their frame loops
 differ.  The reference quantizer, a CIS at zero retention, is searched
-once per wear level where needed, and a missing model or threshold file
-is reported before any work.  Sweep rows are dicts whose keys are the
-CSV header.
+once per wear level when a model is in play or the source is "cis-t0",
+and a missing model or threshold file is reported before any work.
+Sweep rows are dicts whose keys are the CSV header.
 
 All randomness is keyed by (seed, point, frame) so any row of a sweep
 can be reproduced in isolation and runs are byte-identical across
@@ -38,7 +39,6 @@ from .quantizer import (PAGE_STATES, ThresholdSet, gray_state, hard_thresholds,
                         llr_table, quantize, transition_matrix)
 
 SOURCES = ("hard", "mmi", "cis", "cis-t0", "dnn", "file")
-_SEARCH = "cis"  # what source None means everywhere but in run_pipeline
 
 
 @dataclass(frozen=True)
@@ -147,36 +147,6 @@ def predict_thresholds(model: MlpModel, features) -> ThresholdSet:
     return ThresholdSet(tuple(_repair_increasing(forward(model, features))))
 
 
-def resolve_thresholds(cfg: ExperimentConfig, cond: Condition, n: int, rate: float,
-                       model: MlpModel | None = None, features=None,
-                       ref: ThresholdSet | None = None) -> ThresholdSet:
-    """Thresholds for one sweep point according to cfg.source (None: "cis").
-
-    The "hard" source always yields the three pairwise-crossing levels
-    regardless of cfg.cis.j_levels.  "cis-t0" returns ``ref``, the wear
-    level's zero-retention thresholds, which the caller searches.  The
-    "dnn" source pushes ``features``, a histogram the caller takes against
-    ``ref`` (readback voltages are not available here), through ``model``.
-    """
-    if cfg.source is None:
-        cfg = replace(cfg, source=_SEARCH)
-    if cfg.source == "hard":
-        return ThresholdSet(tuple(hard_thresholds(state_models(cond, cfg.params))))
-    if cfg.source == "mmi":
-        return mmi_optimize(cond, cfg.params, cfg.cis, seed=cfg.seed)
-    if cfg.source == "cis":
-        return cis_optimize(cond, cfg.params, n, rate, cfg.cis, seed=cfg.seed)[0]
-    if cfg.source == "cis-t0":
-        if ref is None:
-            raise ValueError("source 'cis-t0' needs ref")
-        return ref
-    if cfg.source == "file":
-        return ThresholdSet.from_file(cfg.thresholds_file)
-    if model is None or features is None:
-        raise ValueError("source 'dnn' needs a model and a feature histogram")
-    return predict_thresholds(model, features)
-
-
 def _load_model(cfg: ExperimentConfig, model, user: str) -> MlpModel:
     """``model``, else cfg.model_file's, for ``user``, which needs one with
     cfg.cis.j_levels outputs."""
@@ -190,26 +160,37 @@ def _load_model(cfg: ExperimentConfig, model, user: str) -> MlpModel:
     return model
 
 
-def _points(cfg: ExperimentConfig, spec, model, need_ref: bool):
+def _points(cfg: ExperimentConfig, spec, model):
     """Yield (point, condition, ref, state models, thresholds, LLR table)
-    in point order.  ``ref``, the wear level's zero-retention thresholds,
-    is searched once per wear level if needed, else None.  "dnn" reads one
-    pilot block at the true condition, histogrammed against ``ref``."""
-    need_ref = need_ref or cfg.source in ("cis-t0", "dnn")
+    in point order, the thresholds from cfg.source, which the driver has
+    set.  ``ref``, the wear level's zero-retention thresholds, is searched
+    once per wear level when there is a model or the source is "cis-t0",
+    else None."""
     point = 0
     for n_pe in cfg.pe_list:
-        ref = cis_optimize(Condition(n_pe, 0.0), cfg.params, spec.n, spec.rate, cfg.cis,
-                           seed=cfg.seed)[0] if need_ref else None
+        ref = None
+        if model is not None or cfg.source == "cis-t0":
+            ref = cis_optimize(Condition(n_pe, 0.0), cfg.params, spec.n, spec.rate,
+                               cfg.cis, seed=cfg.seed)[0]
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
-            features = None
-            if cfg.source == "dnn":
+            models = state_models(cond, cfg.params)
+            if cfg.source == "hard":  # the three crossings, whatever cfg.cis.j_levels
+                d = ThresholdSet(tuple(hard_thresholds(models)))
+            elif cfg.source == "mmi":
+                d = mmi_optimize(cond, cfg.params, cfg.cis, seed=cfg.seed)
+            elif cfg.source == "cis":
+                d = cis_optimize(cond, cfg.params, spec.n, spec.rate, cfg.cis,
+                                 seed=cfg.seed)[0]
+            elif cfg.source == "cis-t0":
+                d = ref
+            elif cfg.source == "file":
+                d = ThresholdSet.from_file(cfg.thresholds_file)
+            else:  # "dnn": one pilot block read at cond, histogrammed against ref
                 pilot = np.random.default_rng((cfg.seed, 2, point))
                 states = pilot.integers(0, 4, size=spec.n)
-                features = histogram_features(
-                    sample_wordline(states, cond, cfg.params, pilot), ref)
-            d = resolve_thresholds(cfg, cond, spec.n, spec.rate, model, features, ref)
-            models = state_models(cond, cfg.params)
+                volts = sample_wordline(states, cond, cfg.params, pilot)
+                d = predict_thresholds(model, histogram_features(volts, ref))
             yield point, cond, ref, models, d, llr_table(models, d)
             point += 1
 
@@ -250,11 +231,11 @@ def run_fer(cfg: ExperimentConfig, model: MlpModel | None = None):
     true condition with zero-retention reference thresholds, mirroring
     how the controller would estimate wear state online.
     """
-    cfg = replace(cfg, source=cfg.source or _SEARCH)
+    cfg = replace(cfg, source=cfg.source or "cis")
     model = _load_model(cfg, model, "source 'dnn'") if cfg.source == "dnn" else None
     code = build_code(cfg.code, seed=cfg.code_seed)
     rows = []
-    for point, cond, _, _, d, table in _points(cfg, code.spec, model, need_ref=False):
+    for point, cond, _, _, d, table in _points(cfg, code.spec, model):
         errors = 0
         for frame in range(cfg.frames):
             code_m, code_l, volts = _simulate_block(code, cfg, cond, point, frame)
@@ -316,8 +297,7 @@ def run_pipeline(cfg: ExperimentConfig, model: MlpModel | None = None):
     model = _load_model(cfg, model, "run_pipeline")
     code = build_code(cfg.code, seed=cfg.code_seed)
     results = []
-    for point, cond, ref, models, current, table in _points(cfg, code.spec, model,
-                                                            need_ref=True):
+    for point, cond, ref, models, current, table in _points(cfg, code.spec, model):
         first_fail = 0
         invocations = 0
         bad = 0

@@ -62,19 +62,10 @@ class ParityMatrix:
         object.__setattr__(self, "edge_check", ec)
         object.__setattr__(self, "edge_var", ev)
 
-    @classmethod
-    def from_dense(cls, h) -> "ParityMatrix":
-        h = np.asarray(h)
-        rows, cols = np.nonzero(h)
-        return cls(h.shape[0], h.shape[1], rows, cols)
-
     def dense(self) -> np.ndarray:
         h = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
         h[self.edge_check, self.edge_var] = 1
         return h
-
-    def col_weights(self) -> np.ndarray:
-        return np.bincount(self.edge_var, minlength=self.n_cols)
 
     @cached_property
     def slots(self):
@@ -279,8 +270,8 @@ class LdpcCode:
         return self.info_len / self.n
 
 
-def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode:
-    """Attach encoder tables to an arbitrary parity matrix."""
+def code_from_matrix(pm: ParityMatrix, spec: CodeSpec) -> LdpcCode:
+    """Attach encoder tables to an arbitrary parity matrix built for spec."""
     rows, pivots = _gf2_rref(pm)
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
@@ -292,10 +283,6 @@ def code_from_matrix(pm: ParityMatrix, spec: CodeSpec | None = None) -> LdpcCode
         part = rows[lo:min(lo + 64, rank)].astype("<u8").view(np.uint8)
         bits = np.unpackbits(part, axis=1, bitorder="little")
         parity_map[lo:lo + 64] = np.packbits(bits[:, free_cols], axis=1)
-    if spec is None:
-        spec = CodeSpec(name="custom", n=pm.n_cols,
-                        rate=free_cols.size / pm.n_cols,
-                        col_weight=int(pm.col_weights().max()))
     return LdpcCode(spec=spec, h=pm, rank=rank, pivot_cols=pivot_cols,
                     free_cols=free_cols, parity_map=parity_map)
 

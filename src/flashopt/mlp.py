@@ -335,7 +335,8 @@ def histogram_features(voltages, d: ThresholdSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Dataset generation settings (desk-scale defaults)."""
+    """Dataset generation settings (desk-scale defaults); ``flashopt
+    optimize`` takes its block_n and rate from here too."""
 
     count: int = 2000
     block_n: int = 2624          # code length the labels optimize for
@@ -347,6 +348,8 @@ class GenConfig:
         check_numbers(self, ("rate",))
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.block_n < 1:
+            raise ValueError("block_n must be at least 1")
         if not 0 < self.rate < 1:
             raise ValueError("rate must lie in (0, 1)")
 

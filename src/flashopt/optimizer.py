@@ -130,14 +130,13 @@ def eps_max_batch(d_batch: np.ndarray, models, n: int, rate: float) -> np.ndarra
 # -- search ------------------------------------------------------------------
 
 def init_thresholds(h, j_levels: int) -> np.ndarray:
-    """Initial thresholds spanning the hard-decision crossings h.
+    """Initial thresholds spanning the hard-decision crossings h, for
+    j_levels >= 3, which ``_starts`` checks.
 
     The recipe anchors d_1 one spacing below the first crossing and d_J
     one spacing above the last, leaving a double-width gap after d_1.
     The row may start at or below 0 V; the search drops such starts.
     """
-    if j_levels < 3:
-        raise ValueError("initialization needs at least 3 levels")
     h1, h3 = h[0], h[-1]
     delta = (h3 - h1) / (j_levels - 1)
     d = np.empty(j_levels)
@@ -314,6 +313,8 @@ def _split_start(h, delta: float, split) -> np.ndarray:
 def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
+    if j_levels < 3:
+        raise ValueError(f"the search needs j_levels of at least 3, got {j_levels}")
     h = hard_thresholds(models)
     d0 = init_thresholds(h, j_levels)
     delta = (h[-1] - h[0]) / (j_levels - 1)

@@ -17,8 +17,8 @@ from flashopt.channel import Condition, DEFAULT_PARAMS, sample_wordline, state_m
 from flashopt.fbl import info_iu, q_func, q_inv
 from flashopt.harness import (ExperimentConfig, cp_interval, run_ccr, run_fer,
                               run_pipeline)
-from flashopt.ldpc import (ParityMatrix, PRESETS, build_code, code_from_matrix,
-                           encode, sp_decode)
+from flashopt.ldpc import (CodeSpec, ParityMatrix, PRESETS, build_code,
+                           code_from_matrix, encode, sp_decode)
 from flashopt.mlp import (GenConfig, TrainConfig, backprop, forward,
                           gen_training_data, histogram_features, mse_loss,
                           save_model, train, xavier_model)
@@ -197,7 +197,8 @@ def test_criterion_6_decoder_correctness(capsys):
     h = np.array([[1, 1, 0, 1, 1, 0, 0],
                   [1, 0, 1, 1, 0, 1, 0],
                   [0, 1, 1, 1, 0, 0, 1]], dtype=np.uint8)
-    hamming = code_from_matrix(ParityMatrix.from_dense(h))
+    hamming = code_from_matrix(ParityMatrix(*h.shape, *np.nonzero(h)),
+                               CodeSpec(name="hamming-7-4", n=7, rate=4 / 7, col_weight=3))
     flips_ok = True
     for info_val in range(16):
         info = np.array([(info_val >> k) & 1 for k in range(4)])

@@ -359,6 +359,13 @@ def test_non_finite_lr_exits_2(tmp_path, capsys):
     (["train", "--rate", "0"], "rate must lie in (0, 1)"),
     (["optimize", "--n-pe", "8000", "--rate", "1.5"], "rate must lie in (0, 1)"),
     (["optimize", "--method", "mmi", "--rate", "-0.5"], "rate must lie in (0, 1)"),
+    (["optimize", "--block-n", "0", "--n-pe", "1000"], "block_n must be at least 1"),
+    (["train", "--block-n", "0", "--count", "2", "--cells", "100", "--epochs", "1",
+      "--pe-set", "1000"], "block_n must be at least 1"),
+    # J 1 and 2 pass CisConfig, for the sources that search nothing
+    (["optimize", "--j-levels", "2"], "j_levels of at least 3, got 2"),
+    (["optimize", "--method", "mmi", "--j-levels", "2"], "j_levels of at least 3, got 2"),
+    (["ccr", "--j-levels", "1", "--pe-list", "8000"], "j_levels of at least 3, got 1"),
 ])
 def test_out_of_range_rate_or_retention_exits_2(capsys, args, message):
     rc = main(args)
@@ -366,6 +373,12 @@ def test_out_of_range_rate_or_retention_exits_2(capsys, args, message):
     assert rc == 2
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_hard_fer_reads_no_j_levels(capsys):
+    # "hard" runs no search, so J 2 is no error
+    assert main(["fer", "--source", "hard", "--j-levels", "2", "--frames", "2"]) == 0
+    assert capsys.readouterr().out.startswith("source,code,")
 
 
 @pytest.mark.parametrize("command, config, message", [

@@ -13,10 +13,11 @@ import flashopt
 from flashopt import harness, optimizer
 from flashopt.channel import Condition, DEFAULT_PARAMS
 from flashopt.harness import (ExperimentConfig, PipelineStats, cp_interval,
-                              predict_thresholds, resolve_thresholds, run_ccr,
-                              run_fer, run_pipeline, _repair_increasing)
+                              predict_thresholds, run_ccr, run_fer, run_pipeline,
+                              _repair_increasing)
+from flashopt.ldpc import PRESETS
 from flashopt.mlp import MlpModel
-from flashopt.optimizer import CisConfig, cis_optimize
+from flashopt.optimizer import CisConfig, cis_optimize, mmi_optimize
 from flashopt.quantizer import ThresholdSet, hard_thresholds
 from flashopt.channel import state_models
 
@@ -127,12 +128,21 @@ def test_list_keys_reject_a_set_single_key():
     assert both.code == "2k-qc" and both.cis.j_levels == 6
 
 
-def test_sweeps_design_with_the_cis_j_levels():
+def read_thresholds(monkeypatch):
+    """Every threshold set a sweep builds an LLR table for, in call order."""
+    seen, real = [], harness.llr_table
+    monkeypatch.setattr(harness, "llr_table", lambda models, d: seen.append(d) or
+                        real(models, d))
+    return seen
+
+
+def test_sweeps_design_with_the_cis_j_levels(monkeypatch):
     # J has one owner, cfg.cis: a sweep designs, and checks a model, with it
     cfg = ExperimentConfig(cis=CisConfig(j_levels=9))
     assert [row["j_levels"] for row in run_ccr(cfg)] == [9]
-    d = resolve_thresholds(cfg, Condition(15000.0, 0.0), 2624, 0.9)
-    assert d.j_levels == 9
+    seen = read_thresholds(monkeypatch)
+    run_fer(replace(cfg, frames=1))
+    assert [d.j_levels for d in seen] == [9]
     six = constant_model(ThresholdSet((1.0, 1.5, 2.0, 2.5, 3.0, 3.5)), n_inputs=10)
     with pytest.raises(ValueError, match="j_levels is 9"):
         run_fer(replace(cfg, source="dnn", frames=1), model=six)
@@ -146,29 +156,34 @@ def test_repair_increasing():
     assert np.array_equal(_repair_increasing(clean), clean)
 
 
-def test_resolve_thresholds_sources(tmp_path):
+def test_points_take_thresholds_from_each_source(tmp_path):
     cond = Condition(15000.0, 0.0)
-    cfg = ExperimentConfig(source="hard")
-    d = resolve_thresholds(cfg, cond, 2624, 0.9)
-    assert d.j_levels == 3
-    assert np.allclose(d.as_array(), hard_thresholds(state_models(cond)))
 
-    d_cis = resolve_thresholds(ExperimentConfig(source="cis"), cond, 2624, 0.9)
-    # "cis-t0" returns the reference its caller searched, and searches none
-    cfg_t0 = ExperimentConfig(source="cis-t0")
-    assert resolve_thresholds(cfg_t0, cond, 2624, 0.9, ref=d_cis) == d_cis
-    with pytest.raises(ValueError, match="source 'cis-t0' needs ref"):
-        resolve_thresholds(cfg_t0, cond, 2624, 0.9)
+    def point(model=None, **settings):
+        """The one point's (ref, thresholds)."""
+        cfg = ExperimentConfig(pe_list=(cond.n_pe,), t_list=(cond.t_ret,), **settings)
+        (_, _, ref, _, d, _), = harness._points(cfg, PRESETS[cfg.code], model)
+        return ref, d
+
+    ref, d = point(source="hard")
+    assert ref is None and d.j_levels == 3
+    assert np.allclose(d.as_array(), hard_thresholds(state_models(cond)))
+    d_cis, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    assert point(source="cis") == (None, d_cis)
+    assert point(source="mmi") == (None, mmi_optimize(cond, DEFAULT_PARAMS))
+    # at zero retention the reference is the point's own search
+    assert point(source="cis-t0") == (d_cis, d_cis)
 
     path = tmp_path / "d.txt"
     d_cis.to_file(path)
-    cfg_file = ExperimentConfig(source="file", thresholds_file=str(path))
-    assert resolve_thresholds(cfg_file, cond, 2624, 0.9) == d_cis
-
+    assert point(source="file", thresholds_file=str(path)) == (None, d_cis)
     with pytest.raises(ValueError, match="source 'file' needs thresholds_file"):
         ExperimentConfig(source="file")
-    with pytest.raises(ValueError):
-        resolve_thresholds(ExperimentConfig(source="dnn"), cond, 2624, 0.9)
+
+    # a model brings the reference, whatever the source
+    model = constant_model(ThresholdSet((1.0, 1.5, 2.0, 2.5, 3.0, 3.5)))
+    assert point(model, source="dnn") == (d_cis, predict_thresholds(model, np.zeros(7)))
+    assert point(model, source="hard") == (d_cis, d)
 
 
 NINE = ThresholdSet(tuple(0.4 * k for k in range(1, 10)))
@@ -309,7 +324,7 @@ def test_cis_t0_searches_once_per_wear_level(monkeypatch):
     assert [r["frames"] for r in rows] == [2, 2]
 
 
-def test_unset_source_is_each_drivers_default():
+def test_unset_source_is_each_drivers_default(monkeypatch):
     # fer designs at the true condition, the pipeline starts from the
     # stale zero-retention thresholds
     d, _ = cis_optimize(Condition(4000.0, 1e5), DEFAULT_PARAMS, 2624, 0.9, seed=0)
@@ -319,10 +334,11 @@ def test_unset_source_is_each_drivers_default():
     assert cfg.source is None
     assert run_pipeline(cfg, model=model) == \
         run_pipeline(replace(cfg, source="cis-t0"), model=model)
+    seen = read_thresholds(monkeypatch)
     rows = run_fer(replace(cfg, frames=2))
+    assert seen == [d]
     assert rows == run_fer(replace(cfg, frames=2, source="cis"))
     assert rows[0]["source"] == "cis"
-    assert resolve_thresholds(cfg, Condition(4000.0, 1e5), 2624, 0.9) == d
 
 
 @pytest.mark.parametrize("source", ["cis-t0", "dnn"])

@@ -47,10 +47,15 @@ def test_init_recipe_spacing():
     assert d[0] < h[0] and d[-1] > h[2]
 
 
-def test_init_needs_three_levels():
-    models = state_models(Condition(0.0, 0.0))
-    with pytest.raises(ValueError):
-        init_thresholds(hard_thresholds(models), 2)
+def test_searches_need_three_levels():
+    # CisConfig takes J 1 and 2, which need no search ("hard", "file");
+    # both searches reject them, naming the key
+    for j_levels in (1, 2):
+        cfg = CisConfig(j_levels=j_levels)
+        with pytest.raises(ValueError, match=f"j_levels of at least 3, got {j_levels}"):
+            cis_optimize(Condition(0.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, cfg)
+        with pytest.raises(ValueError, match=f"j_levels of at least 3, got {j_levels}"):
+            mmi_optimize(Condition(0.0, 0.0), DEFAULT_PARAMS, cfg)
 
 
 @pytest.mark.parametrize("v_target, cond, j_levels, expect", [

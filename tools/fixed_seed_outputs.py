@@ -112,6 +112,12 @@ def runs(out: Path):
                            "--refresh-interval", "0",
                            "--model-file", out / "train.model.bin",
                            "--out", out / "pipeline-dnn.csv"]
+    # start sources that are not the reference: the retries still need it
+    for source in ("cis", "hard"):
+        yield f"pipeline-{source}", ["pipeline", "--source", source, *PIPELINE_POINTS,
+                                     "--refresh-interval", "5",
+                                     "--model-file", out / "train.model.bin",
+                                     "--out", out / f"pipeline-{source}.csv"]
 
 
 def main(argv) -> int:
