@@ -22,7 +22,7 @@ from .mlp import (GenConfig, TrainConfig, gen_training_data, load_dataset,
                   save_dataset, save_model, train)
 from .optimizer import CisConfig, cis_optimize, mmi_optimize
 
-_WHAT = {float: "a number", int: "an integer", str: "a path string",
+_WHAT = {float: "a finite number", int: "an integer", str: "a path string",
          dict: "a JSON object"}
 _ACCEPTS = {float: (int, float), int: int, str: str, dict: dict}
 
@@ -80,10 +80,10 @@ _READS = ("fer", "pipeline")  # the sweeps that read and decode frames
 
 FIELDS = {f.key: f for f in (
     Field("j_levels", int, _ALL),
-    Field("seed", int, _ALL),
+    Field("grid_step", float, _ALL),
+    Field("seed", int, _READS + ("train",)),
     Field("params_file", str, _ALL),
     Field("params", dict, _ALL),
-    Field("cis", dict, _ALL),
     Field("out", str, ("optimize",) + _SWEEPS),
     Field("block_n", int, ("optimize", "train")),
     Field("rate", float, ("optimize", "train")),
@@ -152,12 +152,15 @@ def _pop_params(settings: dict) -> FlashParams:
 
 
 def _pop_cis(settings: dict) -> CisConfig:
-    raw = settings.pop("cis", {})
-    # j_levels is a top-level option, so it is not accepted here
-    _check_keys(raw, set(CisConfig.__dataclass_fields__) - {"j_levels"}, "cis")
-    if "j_levels" in settings:
-        raw["j_levels"] = settings.pop("j_levels")
-    return CisConfig(**raw)
+    return CisConfig(**{key: settings.pop(key) for key in CisConfig.__dataclass_fields__
+                        if key in settings})
+
+
+def _reject(settings: dict, keys, why: str) -> None:
+    """Raise naming whichever of ``keys`` are set; ``why`` says why none is read."""
+    given = [key for key in keys if key in settings]
+    if given:
+        raise ValueError(f"{why}, so drop {', '.join(given)}")
 
 
 def _settings(args):
@@ -174,6 +177,10 @@ def _settings(args):
                        ("j_levels", "j_list")):
         if one in settings and other in settings:
             raise ValueError(f"give {one} or {other}, not both")
+    if "dataset_in" in settings:
+        _reject(settings, ("count", "cells", "pe_set", "t_lo", "t_hi", "block_n", "rate",
+                           "grid_step", "params", "params_file"),
+                "train reads its samples from dataset_in and generates none")
     return settings, _pop_params(settings), _pop_cis(settings)
 
 
@@ -198,11 +205,12 @@ def _print_rows(rows) -> None:
 def _cmd_optimize(args) -> int:
     s, params, cis = _settings(args)
     cond = Condition(**_pick(s, "n_pe", "t_ret"))
-    seed, code = s.get("seed", 0), GenConfig(**_pick(s, "block_n", "rate"))
+    code = GenConfig(**_pick(s, "block_n", "rate"))
     if s.get("method", "cis") == "cis":
-        d, history = cis_optimize(cond, params, code.block_n, code.rate, cis, seed=seed)
+        d, history = cis_optimize(cond, params, code.block_n, code.rate, cis)
     else:
-        d, history = mmi_optimize(cond, params, cis, seed=seed), []
+        _reject(s, ("block_n", "rate"), "method mmi reads no code")
+        d, history = mmi_optimize(cond, params, cis), []
     if s.get("out"):
         d.to_file(s["out"])
     else:

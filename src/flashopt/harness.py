@@ -165,28 +165,27 @@ def _points(cfg: ExperimentConfig, spec, model):
     in point order, the thresholds from cfg.source, which the driver has
     set.  ``ref``, the wear level's zero-retention thresholds, is searched
     once per wear level when there is a model or the source is "cis-t0",
-    else None."""
+    else None.  A threshold file is read once, before the first point."""
     point = 0
+    if cfg.source == "file":
+        d = ThresholdSet.from_file(cfg.thresholds_file)
     for n_pe in cfg.pe_list:
         ref = None
         if model is not None or cfg.source == "cis-t0":
             ref = cis_optimize(Condition(n_pe, 0.0), cfg.params, spec.n, spec.rate,
-                               cfg.cis, seed=cfg.seed)[0]
+                               cfg.cis)[0]
         for t_ret in cfg.t_list:
             cond = Condition(n_pe, t_ret)
             models = state_models(cond, cfg.params)
             if cfg.source == "hard":  # the three crossings, whatever cfg.cis.j_levels
                 d = ThresholdSet(tuple(hard_thresholds(models)))
             elif cfg.source == "mmi":
-                d = mmi_optimize(cond, cfg.params, cfg.cis, seed=cfg.seed)
+                d = mmi_optimize(cond, cfg.params, cfg.cis)
             elif cfg.source == "cis":
-                d = cis_optimize(cond, cfg.params, spec.n, spec.rate, cfg.cis,
-                                 seed=cfg.seed)[0]
+                d = cis_optimize(cond, cfg.params, spec.n, spec.rate, cfg.cis)[0]
             elif cfg.source == "cis-t0":
                 d = ref
-            elif cfg.source == "file":
-                d = ThresholdSet.from_file(cfg.thresholds_file)
-            else:  # "dnn": one pilot block read at cond, histogrammed against ref
+            elif cfg.source == "dnn":  # one pilot block read at cond, histogrammed against ref
                 pilot = np.random.default_rng((cfg.seed, 2, point))
                 states = pilot.integers(0, 4, size=spec.n)
                 volts = sample_wordline(states, cond, cfg.params, pilot)
@@ -268,7 +267,7 @@ def run_ccr(cfg: ExperimentConfig):
             cis_cfg = replace(cfg.cis, j_levels=j)
             block = tuple(Condition(n_pe, t_ret) for n_pe in cfg.pe_list for t_ret in cfg.t_list)
             for cond in block:
-                d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate, cis_cfg, cfg.seed, block)
+                d, _ = cis_optimize(cond, cfg.params, spec.n, spec.rate, cis_cfg, block=block)
                 w = transition_matrix(state_models(cond, cfg.params), d)
                 i, u = info_iu(w[PAGE_STATES].mean(axis=2), np.array([0.5, 0.5]))
                 rates = [achievable_rate(spec.n, cfg.rate_eps, i[k], u[k]) for k in (0, 1)]

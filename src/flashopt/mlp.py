@@ -379,8 +379,8 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
     lo, hi = t_range
     if not (math.isfinite(hi) and 0 <= lo < hi):
         raise ValueError("t_range must be finite and satisfy 0 <= lo < hi")
-    refs = {pe: cis_optimize(Condition(pe, 0.0), params, cfg.block_n, cfg.rate, cfg.cis,
-                             seed=0)[0] for pe in pe_set}
+    refs = {pe: cis_optimize(Condition(pe, 0.0), params, cfg.block_n, cfg.rate, cfg.cis)[0]
+            for pe in pe_set}
     drawn = []
     for child in np.random.SeedSequence(seed).spawn(cfg.count):
         rng = np.random.default_rng(child)
@@ -395,7 +395,7 @@ def gen_training_data(params: FlashParams, pe_set, t_range, cells: int,
         block = tuple(cond for cond, _ in part)
         for cond, feats in part:
             d_opt, _ = cis_optimize(cond, params, cfg.block_n, cfg.rate, cfg.cis,
-                                    seed=0, block=block)
+                                    block=block)
             try:
                 samples.append(Sample(tuple(feats), tuple(d_opt.as_array() / THRESHOLD_SCALE)))
             except ValueError:

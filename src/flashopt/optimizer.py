@@ -7,18 +7,17 @@ of both pages' T statistics wherever eps underflows to 0 or rounds to 1,
 so that it stays informative in the deep tail and at saturation.
 
 Thresholds live on the lattice of multiples of ``grid_step``.  The search
-sweeps one threshold at a time over the lattice points within lam of its
+sweeps one threshold at a time over the lattice points within LAM of its
 current value (clipped so the ordering never breaks) and moves it to the
 best of them only when that strictly lowers the objective.  It stops
 once every threshold has been tried since the last move, so that a
-further sweep could move nothing, or after i_max sweeps; no threshold on
+further sweep could move nothing, or after I_MAX sweeps; no threshold on
 the objective's change is involved.
 
 The best split of the J thresholds among the three state crossings
 changes with wear and retention, so the search starts from several
-points: the initial recipe, one deterministic start per split
-(k1, k2, k3) with every k_i >= 1 (k_i thresholds centred on crossing i,
-delta/2 apart), and optionally seeded jittered copies of the recipe.
+points: the initial recipe and one start per split (k1, k2, k3) with
+every k_i >= 1 (k_i thresholds centred on crossing i, delta/2 apart).
 Only a start that does not round to positive, strictly increasing
 lattice points is dropped.  All starts of all conditions run in
 lockstep, one batch of (starts x candidates) per coordinate, and a move
@@ -48,31 +47,25 @@ from .quantizer import (PAGE_STATES, ThresholdSet, hard_thresholds,
                         input_tails, region_masses, single_states)
 
 _LN2 = math.log(2.0)
+LAM = 0.2    # half-width of the per-coordinate window [V]
+I_MAX = 50   # sweep cap
 
 
 @dataclass(frozen=True)
 class CisConfig:
-    """Knobs of the coordinate search."""
+    """What a search run sets: the number of thresholds J and the lattice
+    step [V], which must lie in (0, LAM]."""
 
     j_levels: int = 6
-    lam: float = 0.2       # half-width of the per-coordinate window [V]
-    i_max: int = 50        # sweep cap
     grid_step: float = 0.01
-    restarts: int = 0      # additional jittered starts
 
     def __post_init__(self):
-        check_numbers(self, ("j_levels", "i_max", "restarts"), integral=True)
-        check_numbers(self, ("lam", "grid_step"))
+        check_numbers(self, ("j_levels",), integral=True)
+        check_numbers(self, ("grid_step",))
         if self.j_levels < 1:
             raise ValueError("j_levels must be at least 1")
-        if self.lam <= 0 or self.grid_step <= 0:
-            raise ValueError("lam and grid_step must be positive")
-        if self.grid_step > self.lam:
-            raise ValueError("grid_step must not exceed lam")
-        if self.i_max < 1:
-            raise ValueError("i_max must be at least 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+        if not 0 < self.grid_step <= LAM:
+            raise ValueError(f"grid_step must lie in (0, {LAM}], got {self.grid_step}")
 
 
 # -- objective evaluation -----------------------------------------------------
@@ -237,11 +230,11 @@ class _Lattice:
         return self.order(self.stat(*iu_from_sums(self._terms.sum(axis=-1))), self.cond)
 
 
-def _descend(obj, starts: np.ndarray, cfg: CisConfig):
+def _descend(obj, starts: np.ndarray, grid_step: float):
     """Cyclic per-coordinate lattice descent from every row of ``starts``.
 
     All starts advance in lockstep, one (starts x candidates) batch per
-    coordinate.  Coordinate j may take any lattice index within lam of
+    coordinate.  Coordinate j may take any lattice index within LAM of
     its own that stays strictly between its neighbours (and positive); it
     moves to the first best candidate only if that strictly improves on
     staying put.  A start stops once a full cycle of coordinates has
@@ -252,14 +245,14 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
     """
     k = starts.copy()
     n_starts, n_dim = k.shape
-    steps = int(round(cfg.lam / cfg.grid_step))
+    steps = int(round(LAM / grid_step))
     offsets = np.arange(-steps, steps + 1)
     obj.reset(k, steps)  # one move reaches at most `steps` points
     trail = [k.copy()]
-    last = np.full(n_starts, cfg.i_max)   # sweep in which each start stopped
+    last = np.full(n_starts, I_MAX)   # sweep in which each start stopped
     quiet = np.zeros(n_starts, dtype=np.int64)  # evaluations since the last move
     active = np.arange(n_starts)
-    for sweep in range(1, cfg.i_max + 1):
+    for sweep in range(1, I_MAX + 1):
         for j in range(n_dim):
             ka = k[active]
             cand = ka[:, j, None] + offsets
@@ -290,35 +283,20 @@ def _descend(obj, starts: np.ndarray, cfg: CisConfig):
     return trail, last
 
 
-def _jittered_starts(d0: np.ndarray, delta: float, cfg: CisConfig, seed):
-    if not cfg.restarts:
-        return []
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(cfg.restarts):
-        for _ in range(100):
-            cand = np.sort(d0 + rng.uniform(-delta / 4, delta / 4, size=d0.size))
-            if cand[0] > 0 and np.all(np.diff(cand) > 0):
-                starts.append(cand)
-                break
-    return starts
-
-
 def _split_start(h, delta: float, split) -> np.ndarray:
     """k_i thresholds centred on crossing h[i], delta / 2 apart, per split k."""
     return np.concatenate([c + (np.arange(m) - (m - 1) / 2) * delta / 2
                            for c, m in zip(h, split)])
 
 
-def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
+def _starts(models, cfg: CisConfig) -> np.ndarray:
     """Lattice indices of every valid start; one row per start."""
     j_levels = cfg.j_levels
     if j_levels < 3:
         raise ValueError(f"the search needs j_levels of at least 3, got {j_levels}")
     h = hard_thresholds(models)
-    d0 = init_thresholds(h, j_levels)
     delta = (h[-1] - h[0]) / (j_levels - 1)
-    starts = [d0, *_jittered_starts(d0, delta, cfg, seed)]
+    starts = [init_thresholds(h, j_levels)]
     for k1 in range(1, j_levels - 1):
         for k2 in range(1, j_levels - k1):
             starts.append(_split_start(h, delta, (k1, k2, j_levels - k1 - k2)))
@@ -331,14 +309,14 @@ def _starts(models, cfg: CisConfig, seed) -> np.ndarray:
     return k
 
 
-def _search(models, cfg: CisConfig, seed, groups, prior, stat, order) -> list:
+def _search(models, cfg: CisConfig, groups, prior, stat, order) -> list:
     """For each condition's models, in order, the lattice path of its start
     that ends lowest (ties: smallest thresholds): its thresholds at the
     start and after each sweep."""
-    starts = [_starts(m, cfg, seed) for m in models]
+    starts = [_starts(m, cfg) for m in models]
     cond = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     obj = _Lattice(models, cond, cfg.grid_step, groups, prior, stat, order)
-    trail, last = _descend(obj, np.concatenate(starts), cfg)
+    trail, last = _descend(obj, np.concatenate(starts), cfg.grid_step)
     ends, score = trail[-1], obj.score()
     wins = [min(np.flatnonzero(cond == c), key=lambda s: (score[s], tuple(ends[s])))
             for c in range(len(starts))]
@@ -346,12 +324,12 @@ def _search(models, cfg: CisConfig, seed, groups, prior, stat, order) -> list:
 
 
 def cis_optimize_many(conds, params: FlashParams, n: int, rate: float,
-                      cfg: CisConfig = CisConfig(), seed: int = 0) -> list:
+                      cfg: CisConfig = CisConfig()) -> list:
     """``cis_optimize`` at each condition, all searches in one lockstep
     batch; returns (thresholds, eps history) per condition, each the same
     as the condition's own search."""
     models = [state_models(c, params) for c in conds]
-    paths = _search(models, cfg, seed, PAGE_STATES, _HALF,
+    paths = _search(models, cfg, PAGE_STATES, _HALF,
                     lambda i, u: t_stat(n, rate, i, u), _eps_order)
     return [(ThresholdSet(tuple(p[-1] * cfg.grid_step)),
              eps_max_batch(p * cfg.grid_step, m, n, rate).tolist())
@@ -370,18 +348,20 @@ def cis_optimize(cond: Condition, params: FlashParams, n: int, rate: float,
     winning start's search.  Given ``block``, a tuple of conditions holding
     cond, the first call searches the whole block in one lockstep batch and
     the calls for its other conditions reuse it, with the same results.
+    ``seed`` changes nothing, as the search draws no random numbers; it
+    stays only because perfbench's workloads pass it.
     """
     if block is None:
-        return cis_optimize_many([cond], params, n, rate, cfg, seed)[0]
-    d, history = _block_designs(block, params, n, rate, cfg, seed)[block.index(cond)]
+        return cis_optimize_many([cond], params, n, rate, cfg)[0]
+    d, history = _block_designs(block, params, n, rate, cfg)[block.index(cond)]
     return d, list(history)
 
 
 def mmi_optimize(cond: Condition, params: FlashParams,
-                 cfg: CisConfig = CisConfig(), seed: int = 0) -> ThresholdSet:
+                 cfg: CisConfig = CisConfig()) -> ThresholdSet:
     """Same search maximizing full-alphabet mutual information."""
     models = state_models(cond, params)
     prior = np.full(len(models), 1.0 / len(models))
-    path, = _search([models], cfg, seed, single_states(len(models)), prior,
+    path, = _search([models], cfg, single_states(len(models)), prior,
                     lambda i, u: -i, lambda v, cond: v[0])
     return ThresholdSet(tuple(path[-1] * cfg.grid_step))

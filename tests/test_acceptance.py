@@ -147,7 +147,7 @@ def test_criterion_4_optimizer_dominance(capsys):
     start = time.time()
     cond = Condition(15000.0, 0.0)
     d_cis, hist = cis_optimize(cond, DEFAULT_PARAMS, BLOCK_N, RATE, seed=0)
-    d_mmi = mmi_optimize(cond, DEFAULT_PARAMS, seed=0)
+    d_mmi = mmi_optimize(cond, DEFAULT_PARAMS)
     models = state_models(cond)
     d_hard = ThresholdSet(tuple(hard_thresholds(models)))
     e_cis = hist[-1]

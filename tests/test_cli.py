@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from flashopt.channel import Condition, DEFAULT_PARAMS
+from flashopt import cli
 from flashopt.cli import FIELDS, build_parser, main
 from flashopt.mlp import MlpModel, load_model, save_model
-from flashopt.optimizer import cis_optimize
+from flashopt.optimizer import CisConfig, cis_optimize
 from flashopt.quantizer import ThresholdSet
 
 
@@ -38,7 +39,7 @@ def test_optimize_matches_library_and_writes_files(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     d_lib, history = cis_optimize(Condition(10000.0, 1000.0), DEFAULT_PARAMS,
-                                  2624, 0.9, seed=0)
+                                  2624, 0.9)
     assert ThresholdSet.from_file(out) == d_lib
     lines = hist.read_text().strip().splitlines()
     assert lines[0] == "sweep,objective"
@@ -68,14 +69,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_unknown_cis_key_exits_2(tmp_path, capsys):
-    # rho and uniform_init are not search knobs, and j_levels belongs at
-    # the top level
-    for key, value in (("rho", 1e-9), ("uniform_init", False), ("j_levels", 9)):
+    # j_levels and grid_step are top-level keys; the cis section is gone,
+    # and so are the window, sweep cap and restarts it held.  The search
+    # draws no random numbers, so optimize and ccr take no seed.
+    for command, key, value in (("optimize", "cis", {"grid_step": 0.005}),
+                                ("optimize", "lam", 0.2), ("optimize", "i_max", 50),
+                                ("optimize", "restarts", 2), ("optimize", "seed", 1),
+                                ("ccr", "seed", 1)):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n_pe": 8000.0, "cis": {key: value}}))
-        rc = main(["optimize", "--config", str(cfg)])
+        cfg.write_text(json.dumps({key: value}))
+        rc = main([command, "--config", str(cfg)])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        assert f"unknown {command} option(s): ['{key}']" in capsys.readouterr().err
 
 
 def test_fer_tiny_run_and_csv(tmp_path, capsys):
@@ -208,7 +213,7 @@ def test_train_hidden_flag(tmp_path, capsys):
 
 
 def test_pipeline_cli_with_model_file(tmp_path, capsys):
-    d, _ = cis_optimize(Condition(15000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(Condition(15000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9)
     model_path = tmp_path / "m.bin"
     save_model(make_constant_model(d), model_path)
     out = tmp_path / "p.csv"
@@ -242,16 +247,17 @@ def test_model_of_other_width_than_j_levels_exits_2(tmp_path, command, capsys):
 
 
 def test_non_numeric_params_and_cis_exit_2(tmp_path, capsys):
-    for section, key in (("params", "v_p"), ("cis", "lam"), ("cis", "i_max")):
+    # the search's one number key, grid_step, sits at the top level
+    for config, key in (({"params": {"v_p": "x"}}, "v_p"), ({"grid_step": "x"}, "grid_step")):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"n_pe": 8000.0, section: {key: "x"}}))
+        cfg.write_text(json.dumps({"n_pe": 8000.0, **config}))
         rc = main(["optimize", "--config", str(cfg)])
         assert rc == 2
         assert key in capsys.readouterr().err
 
 
 def test_model_file_cut_in_header_exits_2(tmp_path, capsys):
-    d, _ = cis_optimize(Condition(15000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(Condition(15000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9)
     whole = tmp_path / "m.bin"
     save_model(make_constant_model(d), whole)
     cut = tmp_path / "cut.bin"
@@ -328,9 +334,9 @@ def test_model_file_with_a_layer_of_width_0_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, key", [
-    ({"cis": {"lam": float("nan")}}, "lam"),
-    ({"cis": {"grid_step": float("inf")}}, "grid_step"),
-    ({"cis": {"lam": 10**400}}, "lam"),  # no float holds it
+    ({"grid_step": float("nan")}, "grid_step"),
+    ({"grid_step": float("inf")}, "grid_step"),
+    ({"grid_step": 10**400}, "grid_step"),  # no float holds it
     ({"params": {"v_p": float("nan")}}, "v_p"),
     ({"params": {"v_target": [1.4, 2.6, float("-inf"), 3.93]}}, "v_target"),
 ])
@@ -366,6 +372,14 @@ def test_non_finite_lr_exits_2(tmp_path, capsys):
     (["optimize", "--j-levels", "2"], "j_levels of at least 3, got 2"),
     (["optimize", "--method", "mmi", "--j-levels", "2"], "j_levels of at least 3, got 2"),
     (["ccr", "--j-levels", "1", "--pe-list", "8000"], "j_levels of at least 3, got 1"),
+    # keys that the run would not read
+    (["optimize", "--method", "mmi", "--n-pe", "8000", "--block-n", "100", "--rate", "0.5"],
+     "method mmi reads no code, so drop block_n, rate"),
+    (["train", "--dataset-in", "d.csv", "--count", "999", "--cells", "7", "--pe-set", "1,2",
+      "--t-lo", "5", "--t-hi", "6", "--block-n", "10", "--rate", "0.2", "--epochs", "1",
+      "--batch", "2"], "generates none, so drop count, cells, pe_set, t_lo, t_hi, block_n, rate"),
+    (["train", "--dataset-in", "d.csv", "--grid-step", "0.005", "--params-file", "p.json"],
+     "generates none, so drop grid_step, params_file"),
 ])
 def test_out_of_range_rate_or_retention_exits_2(capsys, args, message):
     rc = main(args)
@@ -387,7 +401,7 @@ def test_hard_fer_reads_no_j_levels(capsys):
     ("train", {"lr": None}, "lr"),
     ("optimize", {"j_levels": 6.7}, "j_levels"),
     ("fer", {"frames": 2.9}, "frames"),
-    ("optimize", {"seed": True}, "seed"),
+    ("fer", {"seed": True}, "seed"),
     ("optimize", {"out": True}, "out"),
     ("optimize", {"history_out": 7}, "history_out"),
     ("ccr", {"code": 5}, "code must be one of 2k-qc, 2k-random, 4k-qc"),
@@ -493,20 +507,20 @@ def test_list_keys_take_json_lists_and_comma_strings():
 
 # The CLI surface: every flag of every subcommand and every config key it
 # accepts.  Adding, dropping or renaming one is a user-visible change.
-_SWEEP_FLAGS = {"--code", "--j-levels", "--out", "--params-file", "--pe-list",
-                "--seed", "--t-list"}
+_SWEEP_FLAGS = {"--code", "--grid-step", "--j-levels", "--out", "--params-file",
+                "--pe-list", "--t-list"}
 _READ_FLAGS = _SWEEP_FLAGS | {"--code-seed", "--frames", "--i-max", "--model-file",
-                              "--source", "--thresholds-file"}
+                              "--seed", "--source", "--thresholds-file"}
 SURFACE_FLAGS = {
-    "optimize": {"--block-n", "--history-out", "--j-levels", "--method", "--n-pe",
-                 "--out", "--params-file", "--rate", "--seed", "--t-ret"},
+    "optimize": {"--block-n", "--grid-step", "--history-out", "--j-levels", "--method",
+                 "--n-pe", "--out", "--params-file", "--rate", "--t-ret"},
     "fer": _READ_FLAGS | {"--max-frame-errors"},
     "ccr": _SWEEP_FLAGS | {"--code-list", "--j-list", "--rate-eps"},
     "pipeline": _READ_FLAGS | {"--refresh-interval"},
     "train": {"--batch", "--block-n", "--cells", "--count", "--dataset-in",
-              "--dataset-out", "--epochs", "--hidden", "--j-levels", "--loss-out",
-              "--lr", "--lr-final", "--model-out", "--params-file", "--pe-set",
-              "--rate", "--seed", "--t-hi", "--t-lo"},
+              "--dataset-out", "--epochs", "--grid-step", "--hidden", "--j-levels",
+              "--loss-out", "--lr", "--lr-final", "--model-out", "--params-file",
+              "--pe-set", "--rate", "--seed", "--t-hi", "--t-lo"},
 }
 
 
@@ -517,6 +531,9 @@ def test_cli_surface_is_pinned():
         parsed = {s for a in subparsers[command]._actions for s in a.option_strings}
         assert parsed == flags | {"-h", "--help", "--config"}, command
         # every flag sets the config key of the same name, and the config
-        # file also takes the params and cis sections
-        keys = {f.replace("-", "_")[2:] for f in flags} | {"params", "cis"}
+        # file also takes the params section
+        keys = {f.replace("-", "_")[2:] for f in flags} | {"params"}
         assert {k for k, f in FIELDS.items() if command in f.commands} == keys, command
+        # the search's lattice step is a top-level key of every subcommand
+        args = build_parser().parse_args([command, "--grid-step", "0.005"])
+        assert cli._settings(args)[2] == CisConfig(grid_step=0.005), command

@@ -168,7 +168,7 @@ def test_points_take_thresholds_from_each_source(tmp_path):
     ref, d = point(source="hard")
     assert ref is None and d.j_levels == 3
     assert np.allclose(d.as_array(), hard_thresholds(state_models(cond)))
-    d_cis, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d_cis, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9)
     assert point(source="cis") == (None, d_cis)
     assert point(source="mmi") == (None, mmi_optimize(cond, DEFAULT_PARAMS))
     # at zero retention the reference is the point's own search
@@ -184,6 +184,18 @@ def test_points_take_thresholds_from_each_source(tmp_path):
     model = constant_model(ThresholdSet((1.0, 1.5, 2.0, 2.5, 3.0, 3.5)))
     assert point(model, source="dnn") == (d_cis, predict_thresholds(model, np.zeros(7)))
     assert point(model, source="hard") == (d_cis, d)
+
+
+def test_threshold_file_is_read_once_per_sweep(tmp_path, monkeypatch):
+    six = ThresholdSet((1.0, 1.5, 2.0, 2.5, 3.0, 3.5))
+    path = tmp_path / "d.txt"
+    six.to_file(path)
+    reads, real = [], ThresholdSet.from_file
+    monkeypatch.setattr(ThresholdSet, "from_file", lambda p: reads.append(p) or real(p))
+    cfg = ExperimentConfig(source="file", thresholds_file=str(path), pe_list=(4000.0, 8000.0),
+                           t_list=(0.0, 1e3, 1e5), frames=1, refresh_interval=0)
+    assert len(run_fer(cfg)) == 6 and len(reads) == 1
+    assert len(run_pipeline(cfg, model=constant_model(six))) == 6 and len(reads) == 2
 
 
 NINE = ThresholdSet(tuple(0.4 * k for k in range(1, 10)))
@@ -239,7 +251,7 @@ def test_run_fer_early_stop():
 
 def test_run_fer_dnn_source_uses_model():
     cond = Condition(8000.0, 0.0)
-    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9)
     model = constant_model(d)
     cfg = ExperimentConfig(source="dnn", pe_list=(8000.0,), t_list=(0.0,),
                            frames=4, seed=1)
@@ -271,7 +283,7 @@ def test_run_ccr_batches_equal_per_condition_designs(monkeypatch):
     info = optimizer._block_designs.cache_info()
     assert (info.misses, info.hits) == (1, 8)  # one batch, one call per condition
     # the same calls without the block: one search per condition
-    monkeypatch.setattr(harness, "cis_optimize", lambda *args: cis_optimize(*args[:6]))
+    monkeypatch.setattr(harness, "cis_optimize", lambda *args, block: cis_optimize(*args))
     single = run_ccr(cfg)
     assert len(batched) == 9
     assert [{**r, "rate": float(r["rate"]).hex()} for r in batched] == \
@@ -280,7 +292,7 @@ def test_run_ccr_batches_equal_per_condition_designs(monkeypatch):
 
 def test_run_pipeline_accounting_and_model_requirement():
     cond = Condition(15000.0, 0.0)
-    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9)
     model = constant_model(d)
     cfg = ExperimentConfig(source="cis", pe_list=(15000.0,), t_list=(0.0,),
                            frames=8, refresh_interval=0, seed=2)
@@ -295,7 +307,7 @@ def test_run_pipeline_accounting_and_model_requirement():
 
 def test_run_pipeline_refresh_counts_invocations():
     cond = Condition(15000.0, 0.0)
-    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(cond, DEFAULT_PARAMS, 2624, 0.9)
     model = constant_model(d)
     cfg = ExperimentConfig(source="cis", pe_list=(15000.0,), t_list=(0.0,),
                            frames=9, refresh_interval=3, seed=2)
@@ -312,7 +324,7 @@ def test_cis_t0_searches_once_per_wear_level(monkeypatch):
         calls.append(cond)
         return real(cond, *args, **kwargs)
 
-    d, _ = real(Condition(4000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = real(Condition(4000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9)
     monkeypatch.setattr(harness, "cis_optimize", counting)
     cfg = ExperimentConfig(source="cis-t0", pe_list=(4000.0,), t_list=(100.0, 1e5),
                            frames=2, refresh_interval=0)
@@ -327,7 +339,7 @@ def test_cis_t0_searches_once_per_wear_level(monkeypatch):
 def test_unset_source_is_each_drivers_default(monkeypatch):
     # fer designs at the true condition, the pipeline starts from the
     # stale zero-retention thresholds
-    d, _ = cis_optimize(Condition(4000.0, 1e5), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(Condition(4000.0, 1e5), DEFAULT_PARAMS, 2624, 0.9)
     model = constant_model(d)
     cfg = ExperimentConfig(pe_list=(4000.0,), t_list=(1e5,), frames=4,
                            refresh_interval=0)
@@ -345,7 +357,7 @@ def test_unset_source_is_each_drivers_default(monkeypatch):
 def test_fer_and_pipeline_read_the_same_blocks(source):
     # Without early stop or refresh, a pipeline's first reads are the fer
     # sweep's reads: same blocks, same starting thresholds.
-    d, _ = cis_optimize(Condition(4000.0, 3000.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    d, _ = cis_optimize(Condition(4000.0, 3000.0), DEFAULT_PARAMS, 2624, 0.9)
     model = constant_model(d)
     cfg = ExperimentConfig(source=source, pe_list=(4000.0,), t_list=(100.0, 1e5),
                            frames=12, max_frame_errors=12, refresh_interval=0, seed=5)

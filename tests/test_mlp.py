@@ -507,7 +507,7 @@ def test_gen_training_data_rejects_bad_t_range_before_searching(monkeypatch, t_r
 
 def test_features_shift_with_retention():
     """Retention drags voltages down, so low regions gain mass."""
-    ref, _ = cis_optimize(Condition(8000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9, seed=0)
+    ref, _ = cis_optimize(Condition(8000.0, 0.0), DEFAULT_PARAMS, 2624, 0.9)
     rng = np.random.default_rng(0)
     states = rng.integers(0, 4, 50_000)
     fresh = histogram_features(

@@ -35,7 +35,7 @@ PIPELINE_POINTS = ["--pe-list", "4000,6000", "--t-list", "100,1e5", "--frames", 
 def runs(out: Path):
     """(name, argv) in run order; later runs read earlier runs' files."""
     fine = out / "grid-0.005.json"
-    fine.write_text(json.dumps({"cis": {"grid_step": 0.005}}))
+    fine.write_text(json.dumps({"grid_step": 0.005}))
     # criterion 7's wear levels and grid: two full blocks of labels and a
     # partial one
     yield "train-blocks", ["train", "--config", fine, "--count", "20", "--cells", "2000",
