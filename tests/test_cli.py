@@ -69,9 +69,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_unknown_cis_key_exits_2(tmp_path, capsys):
-    # j_levels and grid_step are top-level keys; the cis section is gone,
-    # and so are the window, sweep cap and restarts it held.  The search
-    # draws no random numbers, so optimize and ccr take no seed.
+    # the search's only keys are j_levels and grid_step, both top-level:
+    # its window and sweep cap are constants, and it draws no random
+    # numbers, so optimize and ccr take no seed
     for command, key, value in (("optimize", "cis", {"grid_step": 0.005}),
                                 ("optimize", "lam", 0.2), ("optimize", "i_max", 50),
                                 ("optimize", "restarts", 2), ("optimize", "seed", 1),
